@@ -126,8 +126,8 @@ class MessageScheduler:
             self.seed = new_seed
         tel = _telemetry()
         if tel.enabled:
-            tel.publish("scheduler.perturbed", policy=self.policy,
-                        seed=self.seed)
+            tel.bus.publish("scheduler.perturbed", policy=self.policy,
+                            seed=self.seed)
 
     # -- snapshotting ----------------------------------------------------
 

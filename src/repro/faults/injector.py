@@ -48,9 +48,9 @@ class FaultInjector:
             if fault.activates(args, env):
                 tel = _telemetry()
                 if tel.enabled:
-                    tel.publish("fault.injected", fault=fault.name,
-                                fault_class=type(fault).__name__,
-                                effect=fault.effect)
+                    tel.bus.publish("fault.injected", fault=fault.name,
+                                    fault_class=type(fault).__name__,
+                                    effect=fault.effect)
                     tel.metrics.inc("repro_faults_injected_total",
                                     fault_class=type(fault).__name__)
                 return fault.manifest(args, correct_value)

@@ -33,16 +33,24 @@ receiving bus's subscribers, so monitors attached to a parent session
 events exactly as if they had been published locally.  Per-topic
 counts merge commutatively and associatively; history/seq follow merge
 order (the parallel runtime merges in submission order).
+
+Delivery cost: the bus keeps a per-topic route table — for each topic
+seen, the tuple of matching subscriptions in subscription order — built
+on the topic's first publication and dropped whenever a subscription is
+added or removed.  A publication therefore costs one dict lookup rather
+than a wildcard match per subscription.  The route is the snapshot
+delivery uses: a handler that subscribes or cancels during delivery
+changes the routes of later events only, never the event in flight.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, init=False)
 class Event:
     """One published event.
 
@@ -53,11 +61,31 @@ class Event:
         payload: Free-form event data.
     """
 
+    # Written out (not ``dataclass(slots=True)``) to keep Python 3.9.
+    __slots__ = ("topic", "time", "seq", "payload")
+
     topic: str
     time: float
     seq: int
     payload: Dict[str, Any]
 
+    def __init__(self, topic: str, time: float, seq: int,
+                 payload: Dict[str, Any]) -> None:
+        # Frozen, so fill the slots through their descriptors: the
+        # generated __init__'s object.__setattr__ calls cost about
+        # three times as much, once per published event.
+        _set_topic(self, topic)
+        _set_time(self, time)
+        _set_seq(self, seq)
+        _set_payload(self, payload)
+
+    def __reduce__(self):
+        # Frozen and slotted: unpickle through __init__, not setattr.
+        return Event, (self.topic, self.time, self.seq, self.payload)
+
+
+_set_topic, _set_time, _set_seq, _set_payload = (
+    vars(Event)[name].__set__ for name in Event.__slots__)
 
 Handler = Callable[[Event], None]
 
@@ -85,6 +113,23 @@ class Subscription:
         self._bus.unsubscribe(self)
 
 
+class _RouteTable(dict):
+    """``topic -> matching subscriptions`` (in subscription order), each
+    entry built on first lookup; the owning bus clears it whenever its
+    subscriptions change."""
+
+    __slots__ = ("_subscriptions",)
+
+    def __init__(self, subscriptions: List[Subscription]) -> None:
+        super().__init__()
+        self._subscriptions = subscriptions
+
+    def __missing__(self, topic: str) -> Tuple[Subscription, ...]:
+        route = self[topic] = tuple(
+            s for s in self._subscriptions if s.matches(topic))
+        return route
+
+
 class EventBus:
     """Synchronous publish/subscribe with topic wildcards.
 
@@ -98,6 +143,7 @@ class EventBus:
                  history: int = 4096) -> None:
         self._now = now or (lambda: 0.0)
         self._subscriptions: List[Subscription] = []
+        self._routes = _RouteTable(self._subscriptions)
         self._seq = 0
         self.history: Deque[Event] = collections.deque(maxlen=history)
         #: Per-topic publication counts (cheap aggregate, never trimmed).
@@ -107,6 +153,7 @@ class EventBus:
         """Attach ``handler`` to a topic pattern; returns the handle."""
         subscription = Subscription(self, topic, handler)
         self._subscriptions.append(subscription)
+        self._routes.clear()
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
@@ -114,19 +161,18 @@ class EventBus:
         try:
             self._subscriptions.remove(subscription)
         except ValueError:
-            pass
+            return
+        self._routes.clear()
 
     def publish(self, topic: str, **payload: Any) -> Event:
         """Publish an event and deliver it to matching subscribers."""
-        event = Event(topic=topic, time=self._now(), seq=self._seq,
-                      payload=payload)
+        event = Event(topic, self._now(), self._seq, payload)
         self._seq += 1
         self.history.append(event)
         self.counts[topic] = self.counts.get(topic, 0) + 1
-        for subscription in tuple(self._subscriptions):
-            if subscription.matches(topic):
-                subscription.delivered += 1
-                subscription.handler(event)
+        for subscription in self._routes[topic]:
+            subscription.delivered += 1
+            subscription.handler(event)
         return event
 
     @property
@@ -164,13 +210,11 @@ class EventBus:
         """
         seq_base = self._seq
         for topic, time, seq, payload in snapshot["events"]:
-            event = Event(topic=topic, time=time, seq=seq + seq_base,
-                          payload=dict(payload))
+            event = Event(topic, time, seq + seq_base, dict(payload))
             self.history.append(event)
-            for subscription in tuple(self._subscriptions):
-                if subscription.matches(topic):
-                    subscription.delivered += 1
-                    subscription.handler(event)
+            for subscription in self._routes[topic]:
+                subscription.delivered += 1
+                subscription.handler(event)
         self._seq += snapshot["published"]
         for topic, count in snapshot["counts"]:
             self.counts[topic] = self.counts.get(topic, 0) + count

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import collections
 import os
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.observe.events import Event
 from repro.observe.tracer import Span
@@ -56,6 +56,10 @@ DEFAULT_CAPACITY = 256
 #: Recent dump documents retained per process (``recent_dumps``).
 _DUMP_CAPACITY = 16
 
+#: Key order of :meth:`~repro.observe.tracer.Span.to_dict`.
+_SPAN_FIELDS = ("name", "span_id", "parent_id", "start", "end", "seq",
+                "status", "attrs")
+
 
 class FlightRecorder:
     """A bounded ring of the most recent events and finished spans.
@@ -64,20 +68,26 @@ class FlightRecorder:
         capacity: Ring size in records; the oldest record is evicted
             when a new one arrives at capacity (strict FIFO).
 
-    Records are uniform event-shaped dicts (``topic`` / ``time`` /
-    ``seq`` / ``payload``) so a dumped window renders and validates as
-    a standard ``repro-events-jsonl/v1`` log.  Spans are recorded under
-    the reserved topic ``"span"`` with :meth:`~repro.observe.tracer.
-    Span.to_dict` as the payload.  ``seq`` is the recorder's own
-    monotonic observation counter — bus sequence numbers restart per
-    session, the window spans sessions.
+    Records read back (:meth:`window`, :meth:`dump`) as uniform
+    event-shaped dicts (``topic`` / ``time`` / ``seq`` / ``payload``)
+    so a dumped window renders and validates as a standard
+    ``repro-events-jsonl/v1`` log.  Spans are recorded under the
+    reserved topic ``"span"`` with :meth:`~repro.observe.tracer.Span.
+    to_dict` as the payload.  ``seq`` is the recorder's own monotonic
+    observation counter — bus sequence numbers restart per session, the
+    window spans sessions.
+
+    The ring itself holds ``(topic, time, seq, payload)`` tuples, the
+    payload copied at record time: an event's payload dict, or a span's
+    field values as a tuple (its ``attrs`` by reference, as
+    ``to_dict`` gives them).  The dicts are built only when read.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.records: Deque[Dict[str, Any]] = collections.deque(
+        self.records: Deque[Tuple[str, Any, int, Any]] = collections.deque(
             maxlen=capacity)
         #: Total records ever observed (eviction never decrements it).
         self.captured = 0
@@ -90,16 +100,16 @@ class FlightRecorder:
 
     def record_event(self, event: Event) -> None:
         """Bus handler: fold one published (or redelivered) event in."""
-        self.records.append({"topic": event.topic, "time": event.time,
-                             "seq": self.captured,
-                             "payload": dict(event.payload)})
+        self.records.append((event.topic, event.time, self.captured,
+                             dict(event.payload)))
         self.captured += 1
 
     def record_span(self, span: Span) -> None:
         """Tracer ``on_finish`` tap: fold one finished span in."""
-        self.records.append({"topic": "span", "time": span.end,
-                             "seq": self.captured,
-                             "payload": span.to_dict()})
+        self.records.append(("span", span.end, self.captured,
+                             (span.name, span.span_id, span.parent_id,
+                              span.start, span.end, span.seq, span.status,
+                              span.attrs)))
         self.captured += 1
 
     def attach(self, telemetry: Any) -> None:
@@ -116,7 +126,10 @@ class FlightRecorder:
 
     def window(self) -> List[Dict[str, Any]]:
         """The retained records, oldest first (a copy)."""
-        return [dict(record) for record in self.records]
+        return [{"topic": topic, "time": time, "seq": seq,
+                 "payload": (dict(zip(_SPAN_FIELDS, payload))
+                             if type(payload) is tuple else dict(payload))}
+                for topic, time, seq, payload in self.records]
 
     def clear(self) -> None:
         """Drop the retained window (tallies keep counting)."""

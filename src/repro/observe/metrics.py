@@ -32,6 +32,13 @@ LabelKey = Tuple[Tuple[str, str], ...]
 DEFAULT_BUCKETS = (0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0)
 
 
+#: Label value types whose ``str()`` — the series key — follows from
+#: the value's equality alone.  Only label sets of these exact types
+#: get a cached counter handle: ``1 == 1.0 == True`` and
+#: ``0.0 == -0.0``, yet each pair keys a different series.
+_HANDLE_TYPES = (str, int, bool)
+
+
 def _label_key(labels: Mapping[str, object]) -> LabelKey:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
@@ -146,6 +153,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[Tuple[str, LabelKey], object] = {}
         self._kinds: Dict[str, type] = {}
+        #: Counter handles by (name, raw label items, label value
+        #: types); see :meth:`_counter`.
+        self._handles: Dict[tuple, Counter] = {}
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -166,8 +176,34 @@ class MetricsRegistry:
     # -- typed accessors ---------------------------------------------------
 
     def counter(self, name: str, **labels: object) -> Counter:
-        """Get or create a counter for this label set."""
-        return self._get(Counter, name, labels)
+        """Get or create a counter for this label set.
+
+        The counter is a bound handle: keep it and call its
+        :meth:`Counter.inc` to skip the lookup on repeated updates.
+        """
+        return self._counter(name, labels)
+
+    def _counter(self, name: str, labels: Mapping[str, object]) -> Counter:
+        """:meth:`counter` through the handle cache.
+
+        The cache key is the raw label items plus each value's type, so
+        resolving a counter costs one tuple and one dict lookup instead
+        of stringifying and sorting the labels.  Label sets with any
+        value outside :data:`_HANDLE_TYPES` (floats, unhashable or
+        custom objects) are resolved through the sorted ``str()`` key on
+        every call, exactly as uncached.
+        """
+        key = (name, *labels.items(), *map(type, labels.values()))
+        try:
+            counter = self._handles.get(key)
+        except TypeError:  # an unhashable label value
+            counter = None
+        if counter is None:
+            counter = self._get(Counter, name, labels)
+            if all(type(value) in _HANDLE_TYPES
+                   for value in labels.values()):
+                self._handles[key] = counter
+        return counter
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         """Get or create a gauge for this label set."""
@@ -182,7 +218,7 @@ class MetricsRegistry:
 
     def inc(self, name: str, amount: float = 1.0, **labels: object) -> None:
         """Increment the counter ``name`` for this label set."""
-        self.counter(name, **labels).inc(amount)
+        self._counter(name, labels).inc(amount)
 
     def set_gauge(self, name: str, value: float, **labels: object) -> None:
         """Set the gauge ``name`` for this label set."""

@@ -38,10 +38,9 @@ trace byte for byte.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 #: Span statuses.
 OK = "ok"
@@ -49,7 +48,7 @@ ERROR = "error"
 REJECTED = "rejected"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(init=False)
 class Span:
     """One traced operation.
 
@@ -64,14 +63,33 @@ class Span:
         attrs: Free-form attributes (``producer``, ``pattern``, ``cost``…).
     """
 
+    # Written out (not ``dataclass(slots=True)``) to keep Python 3.9;
+    # slots rule out class-level defaults, hence the explicit __init__.
+    __slots__ = ("name", "span_id", "parent_id", "start", "end", "seq",
+                 "status", "attrs")
+
     name: str
     span_id: int
-    parent_id: Optional[int] = None
-    start: float = 0.0
-    end: Optional[float] = None
-    seq: int = 0
-    status: str = OK
-    attrs: Dict[str, Any] = dataclasses.field(default_factory=dict)
+    parent_id: Optional[int]
+    start: float
+    end: Optional[float]
+    seq: int
+    status: str
+    attrs: Dict[str, Any]
+
+    def __init__(self, name: str, span_id: int,
+                 parent_id: Optional[int] = None, start: float = 0.0,
+                 end: Optional[float] = None, seq: int = 0,
+                 status: str = OK,
+                 attrs: Optional[Dict[str, Any]] = None) -> None:
+        self.name = name
+        self.span_id = span_id
+        self.parent_id = parent_id
+        self.start = start
+        self.end = end
+        self.seq = seq
+        self.status = status
+        self.attrs = {} if attrs is None else attrs
 
     @property
     def duration(self) -> float:
@@ -95,6 +113,31 @@ class Span:
             "status": self.status,
             "attrs": self.attrs,
         }
+
+
+class _SpanContext:
+    """What :meth:`Tracer.span` returns: opens the span on entry and
+    finishes it on exit (a plain slotted object, cheaper to create and
+    drive than a generator-based context manager)."""
+
+    __slots__ = ("_tracer", "_name", "_attrs", "_span")
+
+    def __init__(self, tracer: "Tracer", name: str,
+                 attrs: Dict[str, Any]) -> None:
+        self._tracer = tracer
+        self._name = name
+        self._attrs = attrs
+
+    def __enter__(self) -> Span:
+        self._span = span = self._tracer.start(self._name, **self._attrs)
+        return span
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        span = self._span
+        if exc_type is not None and span.status == OK:
+            span.status = ERROR
+        self._tracer.finish(span)
+        return False
 
 
 class Tracer:
@@ -127,49 +170,49 @@ class Tracer:
 
     def start(self, name: str, **attrs: Any) -> Span:
         """Open a span (nested under the innermost open span)."""
-        parent = self._stack[-1].span_id if self._stack else None
-        span = Span(name=name, span_id=self._next_id, parent_id=parent,
-                    start=self._now(), seq=self.started, attrs=attrs)
+        stack = self._stack
+        span = Span(name, self._next_id,
+                    stack[-1].span_id if stack else None, self._now(),
+                    None, self.started, OK, attrs)
         self._next_id += 1
         self.started += 1
         if len(self.spans) < self.capacity:
             self.spans.append(span)
-        self._stack.append(span)
+        stack.append(span)
         return span
 
     def finish(self, span: Span, status: Optional[str] = None) -> Span:
-        """Close a span (and any child accidentally left open)."""
-        while self._stack:
-            top = self._stack.pop()
-            top.end = self._now()
-            if top is span:
-                break
-        else:
+        """Close a span (and any child accidentally left open).
+
+        A span that is not open — finished already, or never started
+        here — leaves the stack alone and only gets an ``end`` if it
+        has none.
+        """
+        stack = self._stack
+        if stack and stack[-1] is span:
+            stack.pop()
+            span.end = self._now()
+        elif any(open_span is span for open_span in stack):
+            while True:
+                top = stack.pop()
+                top.end = self._now()
+                if top is span:
+                    break
+        elif span.end is None:
             span.end = self._now()
         if status is not None:
             span.status = status
-        elif span.end is None:  # pragma: no cover - defensive
-            span.end = self._now()
         if self.on_finish is not None:
             self.on_finish(span)
         return span
 
-    @contextlib.contextmanager
-    def span(self, name: str, **attrs: Any) -> Iterator[Span]:
+    def span(self, name: str, **attrs: Any) -> "_SpanContext":
         """Context manager recording one span.
 
         An exception escaping the block marks the span ``"error"``
         (unless the block already set a status) and propagates.
         """
-        sp = self.start(name, **attrs)
-        try:
-            yield sp
-        except BaseException:
-            if sp.status == OK:
-                sp.status = ERROR
-            raise
-        finally:
-            self.finish(sp)
+        return _SpanContext(self, name, attrs)
 
     # -- snapshot / merge --------------------------------------------------
 

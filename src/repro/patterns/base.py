@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
-from typing import Any, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.adjudicators.acceptance import AcceptanceTest
 from repro.components.version import Version
@@ -45,6 +45,16 @@ class PatternStats:
     #: increment carries into the telemetry metrics registry.
     owner: str = ""
 
+    def __post_init__(self) -> None:
+        #: counter -> (registry, owner, bound counter handle); see inc.
+        self._handles: Dict[str, Tuple[Any, str, Any]] = {}
+
+    def __getstate__(self) -> dict:
+        # Handles point into a session's registry: never pickle them.
+        state = self.__dict__.copy()
+        state["_handles"] = {}
+        return state
+
     def inc(self, counter: str, amount=1) -> None:
         """Increment one counter — the single write path for pattern
         accounting.
@@ -58,14 +68,24 @@ class PatternStats:
         redundant unit, so with telemetry disabled it must stay a
         direct attribute bump: the ``__dict__`` update below skips the
         ``setattr``/``getattr`` string-dispatch machinery (see
-        ``benchmarks/bench_h1_stats_hotpath.py``).
+        ``benchmarks/bench_h1_stats_hotpath.py``).  With telemetry
+        enabled, each counter keeps a bound handle to its registry
+        series, re-resolved only when the session's registry or the
+        owner changes.
         """
         fields = self.__dict__
         fields[counter] = fields[counter] + amount
         tel = _telemetry()
         if tel.enabled:
-            tel.metrics.inc(f"repro_pattern_{counter}_total", amount,
-                            pattern=self.owner or "pattern")
+            metrics = tel.metrics
+            bound = self._handles.get(counter)
+            if (bound is None or bound[0] is not metrics
+                    or bound[1] is not self.owner):
+                bound = self._handles[counter] = (
+                    metrics, self.owner,
+                    metrics.counter(f"repro_pattern_{counter}_total",
+                                    pattern=self.owner or "pattern"))
+            bound[2].inc(amount)
 
     def as_dict(self) -> dict:
         """The counters as a plain ``name -> value`` dict (no owner)."""
@@ -216,7 +236,7 @@ class RedundancyPattern(abc.ABC):
         tel = _telemetry()
         if not tel.enabled:
             return self._execute(args, env, tel)
-        with tel.span("pattern.execute", pattern=self.name):
+        with tel.tracer.span("pattern.execute", pattern=self.name):
             return self._execute(args, env, tel)
 
     @abc.abstractmethod
@@ -225,24 +245,26 @@ class RedundancyPattern(abc.ABC):
 
         ``tel`` is the current telemetry session; instrumentation sites
         must guard on ``tel.enabled`` so the disabled path stays
-        allocation-free.
+        allocation-free.  Once guarded, the hot sites below go straight
+        to ``tel.tracer`` and ``tel.bus``, skipping the facade's
+        forwarding call and its second ``enabled`` check.
         """
 
     def _run_unit(self, unit: ExecutionUnit, args: Tuple[Any, ...], env,
                   tel, charge: bool) -> Outcome:
         """Run one alternative with execution accounting and telemetry."""
         if tel.enabled:
-            with tel.span("unit.run", pattern=self.name,
-                          producer=unit.name) as span:
+            with tel.tracer.span("unit.run", pattern=self.name,
+                                 producer=unit.name) as span:
                 outcome = unit.run(args, env, charge=charge)
                 span.attrs["cost"] = outcome.cost
                 if outcome.failed:
                     span.status = "error"
-            tel.publish("unit.outcome", pattern=self.name,
-                        producer=unit.name, ok=outcome.ok,
-                        cost=outcome.cost,
-                        error=type(outcome.error).__name__
-                        if outcome.error is not None else "")
+            tel.bus.publish("unit.outcome", pattern=self.name,
+                            producer=unit.name, ok=outcome.ok,
+                            cost=outcome.cost,
+                            error=type(outcome.error).__name__
+                            if outcome.error is not None else "")
         else:
             outcome = unit.run(args, env, charge=charge)
         self._record_execution(outcome)
@@ -252,15 +274,15 @@ class RedundancyPattern(abc.ABC):
                        outcome: Outcome, tel) -> bool:
         """Run one per-unit adjudication (cost 0.5) with telemetry."""
         if tel.enabled:
-            with tel.span("adjudicate", pattern=self.name,
-                          producer=unit.name,
-                          cost=UNIT_ADJUDICATION_COST) as span:
+            with tel.tracer.span("adjudicate", pattern=self.name,
+                                 producer=unit.name,
+                                 cost=UNIT_ADJUDICATION_COST) as span:
                 accepted = unit.validate(args, outcome)
                 if not accepted:
                     span.status = "rejected"
-            tel.publish("adjudication.verdict", pattern=self.name,
-                        producer=unit.name, accepted=accepted,
-                        cost=UNIT_ADJUDICATION_COST)
+            tel.bus.publish("adjudication.verdict", pattern=self.name,
+                            producer=unit.name, accepted=accepted,
+                            cost=UNIT_ADJUDICATION_COST)
         else:
             accepted = unit.validate(args, outcome)
         self.stats.inc("adjudications")

@@ -61,7 +61,8 @@ class RecoveryBlocks(Technique):
         tel = _telemetry()
         if not tel.enabled:
             return self.pattern.execute(*args, env=env)
-        with tel.span("technique.execute", technique=self.technique_name):
+        with tel.tracer.span("technique.execute",
+                             technique=self.technique_name):
             return self.pattern.execute(*args, env=env)
 
     @property
