@@ -138,12 +138,15 @@ class Experiment:
         self._enforce_certificate()
         if self.store is None:
             return self._execute(list(self.seeds))
-        from repro.runtime.store import MISS, code_fingerprint
+        from repro.runtime.store import (MISS, args_digest,
+                                         code_fingerprint, fingerprint)
 
         code = code_fingerprint(self.trial)
         task_name = self._task_name()
-        keys = {seed: self.store.key(task_name, (self.instrument,),
-                                     seed=seed, code=code)
+        # Every seed shares the arguments, so digest them once; each key
+        # equals ``store.key(task_name, (instrument,), seed, code)``.
+        digest = args_digest((self.instrument,))
+        keys = {seed: fingerprint(task_name, digest, seed, code)
                 for seed in self.seeds}
         found = self.store.get_many([keys[seed] for seed in self.seeds])
         missing = [seed for seed in self.seeds

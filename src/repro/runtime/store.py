@@ -18,13 +18,16 @@ content**: a ``PYTHONHASHSEED``-stable fingerprint of
 
 * **memory tier** — a :class:`~repro.runtime.cache.MemoCache` LRU, so
   repeated lookups within a process never touch disk;
-* **disk tier** — an append-only JSONL log replayed into a
-  :mod:`repro.sqlstore` storage engine (the survey's own diverse-engine
-  substrate) acting as the in-memory index.  Appends are single
-  ``O_APPEND`` writes under an advisory ``flock``, so concurrent
-  writers from pool workers or parallel CI jobs interleave whole
-  records, never bytes; readers pick up foreign appends on
-  :meth:`refresh` (called automatically on a miss when the log grew).
+* **disk tier** — an append-only JSONL log indexed by a plain
+  ``key -> row`` dict (the first record of a key in log order wins), so
+  a disk lookup is one dict probe.  Appends are single ``O_APPEND``
+  writes under an advisory ``flock``, so concurrent writers from pool
+  workers or parallel CI jobs interleave whole records, never bytes.
+  A writer indexes its own append directly, without reading it back:
+  under the lock it first indexes any foreign records that landed
+  since its last read, then its own rows, so the index keeps log order.
+  Readers pick up foreign appends on :meth:`refresh` (called
+  automatically on a miss when the log grew).
 
 Caching is **opt-in everywhere** (the ``store=`` knobs on
 :class:`~repro.harness.experiment.Experiment`,
@@ -46,13 +49,18 @@ import json
 import os
 import pickle
 import zlib
-from typing import Any, Callable, Dict, Optional, Sequence, Union
+from json.encoder import encode_basestring_ascii as _json_str
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro._util import stable_int
 from repro.observe import current as _telemetry
 from repro.runtime.cache import MemoCache
-from repro.sqlstore.engines import QueryError, SortedStoreEngine
-from repro.sqlstore.query import Insert, Select
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX hosts
+    fcntl = None
 
 __all__ = ["MISS", "ResultStore", "args_digest", "code_fingerprint",
            "fingerprint"]
@@ -65,6 +73,11 @@ MISS = object()
 #: arguments is part of the content address, so it must not change when
 #: the interpreter's default protocol does.
 _PICKLE_PROTOCOL = 4
+
+#: A log record for the common field types, formatted directly: exactly
+#: the bytes ``json.dumps(row, sort_keys=True)`` writes, at a fraction of
+#: its cost (the payload is hex, so it needs no escaping).
+_LINE = '{"id": %d, "key": %s, "payload": "%s", "seed": %s, "task": %s%s}\n'
 
 
 def args_digest(args: Any) -> str:
@@ -109,6 +122,12 @@ def fingerprint(task_name: str, digest: str, seed: Optional[int],
     return hashlib.sha256(raw.encode("utf-8")).hexdigest()
 
 
+def _batch_size(trials: Any) -> int:
+    """The trials a record is served as: its ``trials`` field when that
+    is an int above 1, else 1 (a scalar record)."""
+    return trials if isinstance(trials, int) and trials > 1 else 1
+
+
 class ResultStore:
     """A two-tier (memory LRU + disk JSONL) content-addressed store.
 
@@ -118,9 +137,6 @@ class ResultStore:
         name: Label on the ``repro_runtime_store_*`` metrics and
             ``store.*`` events this store emits.
         memory_entries: LRU capacity of the in-memory front tier.
-        engine: The :mod:`repro.sqlstore` engine indexing the log
-            in memory (default: a :class:`SortedStoreEngine`, whose
-            dump order is deterministic).
         quiet: Suppress the store's telemetry (``repro_runtime_store_*``
             counters and ``store.*`` events).  Python-side counters and
             :meth:`stats` still accumulate.  The shard checkpoint store
@@ -134,21 +150,21 @@ class ResultStore:
     process pool stores fine.  Two stores (or two processes) may share
     one path: writes append whole records under an advisory lock, and
     a reader that misses re-reads any bytes appended since its last
-    load before declaring the miss.
+    load before declaring the miss.  When two records share a key, the
+    first in log order is served, by every store on the path.
     """
 
     def __init__(self, path: Union[str, os.PathLike], name: str = "results",
                  memory_entries: Optional[int] = 1024,
-                 engine: Optional[Any] = None,
                  quiet: bool = False) -> None:
         self.path = os.fspath(path)
         self.name = name
         self.quiet = quiet
-        self.engine = engine if engine is not None else SortedStoreEngine(
-            name=f"{name}-index")
         self.memory = MemoCache(name=f"{name}-mem",
                                 max_entries=memory_entries, quiet=quiet)
-        #: Bytes of the log consumed into the engine so far.
+        #: ``key -> (hex payload, trials)`` of every indexed record.
+        self._rows: Dict[str, Tuple[str, int]] = {}
+        #: Bytes of the log consumed into the index so far.
         self._offset = 0
         self.hits = 0
         self.misses = 0
@@ -163,8 +179,6 @@ class ResultStore:
         #: Records written through :meth:`put_many` (one flock'd append
         #: per batch, rather than one per record).
         self.puts_batched = 0
-        #: ``key -> trials`` for batch records seen via put/index.
-        self._trials: Dict[str, int] = {}
         #: Log lines that failed to parse (skipped, never fatal).
         self.corrupt_lines = 0
         self.entries = 0
@@ -185,7 +199,9 @@ class ResultStore:
         ``task`` may be a callable (its qualified name is used, and its
         :func:`code_fingerprint` when ``code`` is not given) or a plain
         string name (then ``code`` defaults to empty — pass one
-        explicitly to get invalidation-on-change).
+        explicitly to get invalidation-on-change).  Callers keying many
+        seeds of one task can compute :func:`args_digest` once and call
+        :func:`fingerprint` per seed; the keys are the same.
         """
         if callable(task):
             name = (f"{getattr(task, '__module__', '?')}"
@@ -202,84 +218,71 @@ class ResultStore:
     def get(self, key: str) -> Any:
         """The stored value for ``key``, or :data:`MISS`.
 
-        Memory tier first; then the engine index, refreshed from the
-        log when another writer has appended since the last read.  A
-        disk hit is promoted into the memory tier.
+        Memory tier first; then the key index, refreshed from the log
+        when another writer has appended since the last read.  A disk
+        hit is promoted into the memory tier.
         """
         value = self.memory.get(key, default=MISS)
+        tel = self._session()
         if value is not MISS:
-            self._record_hit(key, tier="memory")
+            self._record_hit(tel, key, "memory")
             return value
-        row = self._lookup(key)
+        row = self._rows.get(key)
         if row is None and self._log_grew():
             self.refresh()
-            row = self._lookup(key)
+            row = self._rows.get(key)
         if row is None:
-            self.misses += 1
-            self._count("misses")
-            self._publish("store.miss")
+            self._record_miss(tel)
             return MISS
-        return self._load_row(key, row)
+        return self._load_row(tel, key, row)
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Any]:
-        """``{key: value-or-MISS}`` for every key, in one index pass.
+        """``{key: value-or-MISS}`` for every key, with at most one log
+        refresh.
 
         The batched counterpart of :meth:`get`: the memory tier is
-        consulted per key, then every remaining key is resolved with a
-        **single** engine select (and at most one log refresh), instead
-        of replaying the index lock and a full-scan lookup once per
-        key.  Hit/miss accounting and ``store.hit``/``store.miss``
+        consulted per key, then every remaining key is resolved against
+        the index, refreshing it once if any key is missing and the log
+        grew.  Hit/miss accounting and ``store.hit``/``store.miss``
         events are identical to ``{k: self.get(k) for k in keys}``.
         """
         out: Dict[str, Any] = {}
         wanted: Dict[str, None] = {}  # insertion-ordered key set
+        tel = self._session()
         for key in keys:
             if key in out or key in wanted:
                 continue
             value = self.memory.get(key, default=MISS)
             if value is not MISS:
-                self._record_hit(key, tier="memory")
+                self._record_hit(tel, key, "memory")
                 out[key] = value
             else:
                 wanted[key] = None
-        if wanted:
-            rows = self._lookup_many(wanted)
-            if len(rows) < len(wanted) and self._log_grew():
-                self.refresh()
-                rows = self._lookup_many(wanted)
-            for key in wanted:
-                row = rows.get(key)
-                if row is None:
-                    self.misses += 1
-                    self._count("misses")
-                    self._publish("store.miss")
-                    out[key] = MISS
-                else:
-                    out[key] = self._load_row(key, row)
+        if not wanted:
+            return out
+        rows = self._rows
+        if (any(key not in rows for key in wanted)
+                and self._log_grew()):
+            self.refresh()
+        for key in wanted:
+            row = rows.get(key)
+            if row is None:
+                self._record_miss(tel)
+                out[key] = MISS
+            else:
+                out[key] = self._load_row(tel, key, row)
         return out
 
-    def _record_hit(self, key: str, tier: str, bytes_read: int = 0
-                    ) -> None:
-        self.hits += 1
-        trials = self._trials.get(key, 1)
-        self.trials_served += trials
-        self._count("hits")
-        self._count("trials_served", trials)
-        payload: Dict[str, Any] = {"tier": tier}
-        if bytes_read:
-            payload["bytes"] = bytes_read
-        if trials > 1:
-            payload["trials"] = trials
-        self._publish("store.hit", **payload)
-
-    def _load_row(self, key: str, row: Dict[str, Any]) -> Any:
+    def _load_row(self, tel: Any, key: str, row: Tuple[str, int]) -> Any:
         """Decode a disk row, promote it into memory, account the hit."""
-        payload = bytes.fromhex(row["payload"])
+        payload = bytes.fromhex(row[0])
         self.bytes_read += len(payload)
         value = pickle.loads(payload)
         self.memory.put(key, value)
-        self._count("bytes_read", len(payload))
-        self._record_hit(key, tier="disk", bytes_read=len(payload))
+        if tel is not None:
+            tel.metrics.inc("repro_runtime_store_bytes_read_total",
+                            len(payload), store=self.name)
+        self._record_hit(tel, key, "disk", len(payload))
         return value
 
     def put(self, key: str, value: Any, task: str = "?",
@@ -293,12 +296,7 @@ class ResultStore:
         ``store.write`` events carry ``trials=`` for the SLI
         store-traffic table.
         """
-        line = self._encode(key, value, task, seed, trials)
-        self._append(line)
-        # Consuming the log from the previous offset indexes our record
-        # *and* any foreign appends that landed before it.
-        self.refresh()
-        self._account_write(key, value, trials, line)
+        self._write([self._stage(key, value, task, seed, trials)])
 
     def put_many(self, entries: Sequence[Dict[str, Any]]) -> None:
         """Persist many records with **one** flock'd append.
@@ -308,50 +306,92 @@ class ResultStore:
         whole batch lands as a single ``O_APPEND`` write under one
         advisory lock — so a shard checkpoint (the shard record plus
         its cell records) or a batched experiment's miss tail pays one
-        lock round-trip, not N — followed by a single :meth:`refresh`.
-        Per-record accounting (counters, ``store.write`` events) is
-        identical to N scalar puts; :attr:`puts_batched` counts the
-        records that took this path.
+        lock round-trip, not N.  Per-record accounting (counters,
+        ``store.write`` events) is identical to N scalar puts;
+        :attr:`puts_batched` counts the records that took this path.
         """
-        staged = [(entry["key"], entry["value"],
-                   int(entry.get("trials", 1)),
-                   self._encode(entry["key"], entry["value"],
-                                entry.get("task", "?"),
-                                entry.get("seed"),
-                                int(entry.get("trials", 1))))
+        staged = [self._stage(entry["key"], entry["value"],
+                              entry.get("task", "?"), entry.get("seed"),
+                              int(entry.get("trials", 1)))
                   for entry in entries]
-        if not staged:
-            return
-        self._append(b"".join(line for _, _, _, line in staged))
-        self.refresh()
-        for key, value, trials, line in staged:
-            self._account_write(key, value, trials, line)
-        self.puts_batched += len(staged)
+        if staged:
+            self._write(staged)
+            self.puts_batched += len(staged)
 
-    def _encode(self, key: str, value: Any, task: str,
-                seed: Optional[int], trials: int) -> bytes:
-        """One record as its JSONL line (shared by put / put_many)."""
+    @staticmethod
+    def _stage(key: str, value: Any, task: str, seed: Optional[int],
+               trials: int) -> Tuple[str, Any, int, str, bytes]:
+        """One record as ``(key, value, trials, hex payload, JSONL
+        line)``."""
         payload = pickle.dumps(value, protocol=_PICKLE_PROTOCOL).hex()
-        row = {"id": stable_int(key, modulo=2 ** 62), "key": key,
-               "task": task, "seed": seed, "payload": payload}
-        if trials != 1:
-            row["trials"] = trials
-        return (json.dumps(row, sort_keys=True) + "\n").encode("utf-8")
+        record_id = stable_int(key, modulo=2 ** 62)
+        if (type(key) is str and type(task) is str
+                and (seed is None or type(seed) is int)
+                and type(trials) is int):
+            line = _LINE % (record_id, _json_str(key), payload,
+                            "null" if seed is None else seed,
+                            _json_str(task),
+                            "" if trials == 1 else f', "trials": {trials}')
+        else:
+            row = {"id": record_id, "key": key, "task": task,
+                   "seed": seed, "payload": payload}
+            if trials != 1:
+                row["trials"] = trials
+            line = json.dumps(row, sort_keys=True) + "\n"
+        return key, value, trials, payload, line.encode("utf-8")
 
-    def _account_write(self, key: str, value: Any, trials: int,
-                       line: bytes) -> None:
-        """Memory promotion + counters + events for one written record."""
-        self.memory.put(key, value)
-        self.writes += 1
-        self.bytes_written += len(line)
-        self.trials_stored += trials
-        self._count("writes")
-        self._count("bytes_written", len(line))
-        self._count("trials_stored", trials)
-        event: Dict[str, Any] = {"bytes": len(line)}
-        if trials > 1:
-            event["trials"] = trials
-        self._publish("store.write", **event)
+    def _write(self, staged: List[Tuple[str, Any, int, str, bytes]]
+               ) -> None:
+        """Append staged records, index them, promote and account them.
+
+        Under the lock: write the batch, index any foreign records that
+        precede it in the log, then index the staged rows as built — no
+        read-back, no re-parse.  If the bytes before the append end in a
+        torn record (a writer that skipped the lock), the append glued
+        onto it, so the log is re-read from the last offset instead,
+        exactly as :meth:`refresh` would.
+        """
+        data = b"".join(record[4] for record in staged)
+        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
+                     0o644)
+        rows = self._rows
+        try:
+            if fcntl is not None:
+                fcntl.flock(fd, fcntl.LOCK_EX)
+            written = os.write(fd, data)
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+            if written == len(data) and self._catch_up(end - written):
+                for key, _, trials, payload, _ in staged:
+                    if key not in rows:
+                        rows[key] = (payload, _batch_size(trials))
+                        self.entries += 1
+                self._offset = end
+            else:
+                self.refresh()
+        finally:
+            os.close(fd)
+        tel = self._session()
+        for key, value, trials, payload, line in staged:
+            # The memory tier mirrors the index: a record that lost to
+            # an earlier one with the same key is not promoted.
+            row = rows.get(key)
+            if row is not None and row[0] == payload:
+                self.memory.put(key, value)
+            self.writes += 1
+            self.bytes_written += len(line)
+            self.trials_stored += trials
+            if tel is None:
+                continue
+            tel.metrics.inc("repro_runtime_store_writes_total", 1.0,
+                            store=self.name)
+            tel.metrics.inc("repro_runtime_store_bytes_written_total",
+                            len(line), store=self.name)
+            tel.metrics.inc("repro_runtime_store_trials_stored_total",
+                            trials, store=self.name)
+            event: Dict[str, Any] = {"bytes": len(line)}
+            if trials > 1:
+                event["trials"] = trials
+            tel.publish("store.write", store=self.name, **event)
 
     def get_or_call(self, fn: Callable, *args: Any,
                     seed: Optional[int] = None,
@@ -391,16 +431,46 @@ class ResultStore:
         if end == 0:
             return 0
         self._offset += end
+        return self._consume(data[:end])
+
+    def _catch_up(self, start: int) -> bool:
+        """Index the foreign records between the last read and ``start``
+        (where this writer's append begins).  False, consuming nothing,
+        when those bytes do not end on a record boundary."""
+        if start == self._offset:
+            return True
+        if start < self._offset:
+            return False
+        with open(self.path, "rb") as handle:
+            handle.seek(self._offset)
+            data = handle.read(start - self._offset)
+        if len(data) != start - self._offset or not data.endswith(b"\n"):
+            return False
+        self._offset = start
+        self._consume(data)
+        return True
+
+    def _consume(self, data: bytes) -> int:
+        """Index every line of ``data`` (whole records); duplicates (the
+        same key computed by two writers) keep the first record and are
+        not an error.  Returns the number of new entries."""
+        rows = self._rows
         added = 0
-        for raw in data[:end].splitlines():
+        for raw in data.splitlines():
             try:
                 row = json.loads(raw)
-                if not isinstance(row, dict) or "key" not in row:
+                key = row["key"]
+                payload = row["payload"]
+                if not isinstance(key, str) or not isinstance(payload, str):
                     raise ValueError("not a store record")
-            except ValueError:
+            except (ValueError, TypeError, KeyError):
                 self.corrupt_lines += 1
                 continue
-            added += self._index(row)
+            if key in rows:
+                continue
+            rows[key] = (payload, _batch_size(row.get("trials")))
+            added += 1
+        self.entries += added
         return added
 
     def _log_grew(self) -> bool:
@@ -408,51 +478,6 @@ class ResultStore:
             return os.path.getsize(self.path) > self._offset
         except OSError:
             return False
-
-    def _append(self, line: bytes) -> None:
-        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                     0o644)
-        try:
-            try:
-                import fcntl
-                fcntl.flock(fd, fcntl.LOCK_EX)
-            except ImportError:  # pragma: no cover - non-POSIX hosts
-                pass
-            os.write(fd, line)
-        finally:
-            os.close(fd)
-
-    # -- the sqlstore index ------------------------------------------------
-
-    def _index(self, row: Dict[str, Any]) -> int:
-        """Insert one record into the engine; duplicates (the same key
-        computed by two writers) keep the first record and are not an
-        error."""
-        try:
-            self.engine.execute(Insert(row=tuple(sorted(row.items()))))
-        except QueryError:
-            return 0
-        trials = row.get("trials")
-        if isinstance(trials, int) and trials > 1:
-            self._trials[row["key"]] = trials
-        self.entries += 1
-        return 1
-
-    def _lookup(self, key: str) -> Optional[Dict[str, Any]]:
-        rows = self.engine.execute(
-            Select(where=lambda r: r.get("key") == key))
-        return rows[0] if rows else None
-
-    def _lookup_many(self, keys: Dict[str, None]) -> Dict[str, Any]:
-        """``key -> row`` for every indexed key of ``keys``, found with
-        one engine scan (duplicates keep the first record, matching
-        :meth:`_index`)."""
-        rows = self.engine.execute(
-            Select(where=lambda r: r.get("key") in keys))
-        found: Dict[str, Any] = {}
-        for row in rows:
-            found.setdefault(row["key"], row)
-        return found
 
     # -- accounting --------------------------------------------------------
 
@@ -474,17 +499,37 @@ class ResultStore:
                 "hit_rate": round(self.hit_rate, 4),
                 "memory": self.memory.stats()}
 
-    def _count(self, which: str, amount: float = 1.0) -> None:
+    def _session(self) -> Any:
+        """The telemetry session to account into, or ``None`` when the
+        store is quiet or telemetry is off — looked up once per call,
+        not once per counter."""
         if self.quiet:
-            return
+            return None
         tel = _telemetry()
-        if tel.enabled:
-            tel.metrics.inc(f"repro_runtime_store_{which}_total", amount,
-                            store=self.name)
+        return tel if tel.enabled else None
 
-    def _publish(self, topic: str, **payload: Any) -> None:
-        if self.quiet:
+    def _record_hit(self, tel: Any, key: str, tier: str,
+                    bytes_read: int = 0) -> None:
+        self.hits += 1
+        row = self._rows.get(key)
+        trials = row[1] if row is not None else 1
+        self.trials_served += trials
+        if tel is None:
             return
-        tel = _telemetry()
-        if tel.enabled:
-            tel.publish(topic, store=self.name, **payload)
+        tel.metrics.inc("repro_runtime_store_hits_total", 1.0,
+                        store=self.name)
+        tel.metrics.inc("repro_runtime_store_trials_served_total", trials,
+                        store=self.name)
+        payload: Dict[str, Any] = {"tier": tier}
+        if bytes_read:
+            payload["bytes"] = bytes_read
+        if trials > 1:
+            payload["trials"] = trials
+        tel.publish("store.hit", store=self.name, **payload)
+
+    def _record_miss(self, tel: Any) -> None:
+        self.misses += 1
+        if tel is not None:
+            tel.metrics.inc("repro_runtime_store_misses_total", 1.0,
+                            store=self.name)
+            tel.publish("store.miss", store=self.name)

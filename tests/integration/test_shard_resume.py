@@ -42,15 +42,55 @@ def _run(requests, extra, hash_seed):
                           capture_output=True, text=True, timeout=300)
 
 
+def _group_members(pgid):
+    """PIDs of process group ``pgid`` that have not exited.  Zombies
+    (dead, waiting for init to reap them) do not count; without
+    ``/proc`` any signalable member does."""
+    if not os.path.isdir("/proc"):
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    members = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                fields = handle.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            members.append(int(entry))
+    return members
+
+
+def _kill_group(proc):
+    """SIGKILL the run's whole process group — the CLI and its pool
+    workers — and wait until no member of it is left."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait(timeout=30)
+    deadline = time.monotonic() + 30
+    while _group_members(proc.pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _group_members(proc.pid) == [], "processes outlived the kill"
+
+
 def _kill_mid_grid(store, extra, hash_seed):
-    """Start a checkpointing run and SIGKILL it once the log shows the
-    first shard record.  Returns True if the kill landed mid-run (a
-    fast machine may finish first — then every shard is checkpointed
-    and the resume-serves-everything path is what gets exercised)."""
+    """Start a checkpointing run in its own session and SIGKILL its
+    process group once the log shows the first shard record.  Returns
+    True if the kill landed mid-run (a fast machine may finish first —
+    then every shard is checkpointed and the resume-serves-everything
+    path is what gets exercised)."""
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=hash_seed)
     proc = subprocess.Popen(
         _command(KILL_REQUESTS, ["--store", str(store)] + extra),
-        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        start_new_session=True)
     try:
         deadline = time.monotonic() + KILL_DEADLINE
         while time.monotonic() < deadline:
@@ -58,15 +98,13 @@ def _kill_mid_grid(store, extra, hash_seed):
                 return False
             if store.exists() and \
                     store.read_text(encoding="utf-8").count("\n") >= 2:
-                proc.send_signal(signal.SIGKILL)
-                proc.wait(timeout=30)
+                _kill_group(proc)
                 return True
             time.sleep(0.01)
         raise AssertionError("no checkpoint appeared before deadline")
     finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait(timeout=30)
+        if proc.poll() is None or _group_members(proc.pid):
+            _kill_group(proc)
 
 
 @pytest.mark.parametrize("extra", [
