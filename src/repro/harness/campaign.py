@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Tuple)
 
 from repro.environment import SimEnvironment
 from repro.exceptions import RedundancyError, SimulatedFailure
@@ -21,6 +22,9 @@ from repro.faults.base import Fault
 from repro.faults.injector import FaultyFunction
 from repro.harness.report import render_table
 from repro.observe import current as _telemetry
+from repro.runtime.kernel import partition
+from repro.runtime.pmap import dispatch
+from repro.runtime.store import CodeDigests, cached_map
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.runtime.store import ResultStore
@@ -193,34 +197,35 @@ class FaultCampaign:
         """Measure one (protector, fault) combination — served from the
         attached result store when already measured under the same code
         version."""
-        if self.store is None:
-            return self._measure(protector_label, fault_label)
-        from repro.runtime.store import MISS
-
-        key = self._cell_key(protector_label, fault_label)
-        cell = self.store.get(key)
-        if cell is MISS:
-            cell = self._measure(protector_label, fault_label)
-            self.store.put(key, cell, task="campaign.cell",
-                           seed=self.seed)
+        [cell] = cached_map(self.store, [(protector_label, fault_label)],
+                            self._cell_keys(), self._run_pairs,
+                            self._cell_meta)
         return cell
 
-    def _cell_key(self, protector_label: str, fault_label: str,
-                  store: Optional["ResultStore"] = None) -> str:
-        """Content address of one cell: the labels, workload size and
-        base seed, salted with the source versions of the protector
-        factory, the fault factory and the oracle.  ``store`` overrides
-        the campaign's own (the shard checkpointer addresses cells
-        through the checkpoint store, so a later unsharded ``store=``
-        run serves them)."""
-        from repro.runtime.store import code_fingerprint
+    def _cell_keys(self, store: Optional["ResultStore"] = None,
+                   digests: Optional[CodeDigests] = None
+                   ) -> Callable[[Tuple[str, str]], str]:
+        """The content address of a cell, for one run: the labels,
+        workload size and base seed, salted with the source versions of
+        the protector factory, the fault factory and the oracle, each
+        digested once per ``digests`` (a fresh memo by default).
+        ``store`` overrides the campaign's own (the shard checkpointer
+        addresses cells through the checkpoint store, so a later
+        unsharded ``store=`` run serves them)."""
+        store = store if store is not None else self.store
+        digests = digests if digests is not None else CodeDigests()
 
-        code = code_fingerprint(self.protectors[protector_label],
-                                self.faults[fault_label], self.oracle)
-        return (store if store is not None else self.store).key(
-            "repro.harness.campaign.cell",
-            (protector_label, fault_label, self.requests),
-            seed=self.seed, code=code)
+        def key(pair: Tuple[str, str]) -> str:
+            protector, fault = pair
+            code = digests(self.protectors[protector], self.faults[fault],
+                           self.oracle)
+            return store.key("repro.harness.campaign.cell",
+                             (protector, fault, self.requests),
+                             seed=self.seed, code=code)
+        return key
+
+    def _cell_meta(self, pair: Tuple[str, str]) -> Dict[str, Any]:
+        return {"task": "campaign.cell", "seed": self.seed}
 
     def _measure(self, protector_label: str, fault_label: str
                  ) -> CampaignCell:
@@ -251,16 +256,12 @@ class FaultCampaign:
                             correct_rate=correct / self.requests,
                             requests=self.requests)
 
-    def _run_pair(self, pair: Tuple[str, str]) -> CampaignCell:
-        """Pool task: one labelled cell (picklable when the campaign's
-        factories and oracle are).  Always the raw measurement — the
-        store is consulted parent-side so workers never write it."""
-        return self._measure(*pair)
-
-    def _run_pairs(self, pairs: Tuple[Tuple[str, str], ...]
+    def _run_pairs(self, pairs: Sequence[Tuple[str, str]]
                    ) -> List[CampaignCell]:
-        """Pool task under ``batch``: a whole slab of cells measured in
-        one call, returned as one pickled list."""
+        """Pool task: a slab of cells measured in one call, returned as
+        one pickled list (picklable when the campaign's factories and
+        oracle are).  Always the raw measurements — the store is
+        consulted parent-side so workers never write it."""
         return [self._measure(*pair) for pair in pairs]
 
     def pairs(self) -> List[Tuple[str, str]]:
@@ -274,53 +275,19 @@ class FaultCampaign:
     def run(self) -> List[CampaignCell]:
         """The full matrix, protector-major."""
         self._enforce_certificate()
-        pairs = self.pairs()
-        if self.store is None:
-            return self._execute(pairs)
-        from repro.runtime.store import MISS
-
-        keys = {pair: self._cell_key(*pair) for pair in pairs}
-        values = self.store.get_many([keys[pair] for pair in pairs])
-        found = {pair: values[keys[pair]] for pair in pairs}
-        missing = [pair for pair in pairs if found[pair] is MISS]
-        computed = iter(self._execute(missing))
-        out: List[CampaignCell] = []
-        staged: List[Dict[str, Any]] = []
-        for pair in pairs:
-            cell = found[pair]
-            if cell is MISS:
-                cell = next(computed)
-                staged.append({"key": keys[pair], "value": cell,
-                               "task": "campaign.cell",
-                               "seed": self.seed})
-            out.append(cell)
-        if staged:
-            # One flock'd append for the whole miss tail.
-            self.store.put_many(staged)
-        return out
+        return cached_map(self.store, self.pairs(), self._cell_keys(),
+                          self._execute, self._cell_meta)
 
     def _execute(self, pairs: List[Tuple[str, str]]) -> List[CampaignCell]:
         """Measure ``pairs`` (a sub-list on store partial hits), in
-        order, through the serial loop or the pool."""
-        if (self.workers <= 1 or len(pairs) <= 1) and self.stream is None:
-            return [self._measure(*pair) for pair in pairs]
-        from repro.runtime.kernel import partition
-        from repro.runtime.pmap import ParallelMap
-
-        pool = ParallelMap(workers=self.workers, backend=self.backend,
-                           stream=self.stream)
-        try:
-            if self.batch is None:
-                return pool.map(self._run_pair, pairs)
-            # Each batch is already a coarse unit of work; submit one
-            # per chunk so the pool never re-bundles (and re-pickles)
-            # batches.
-            slabs = partition(pairs, self.batch)
-            gathered = pool.map(self._run_pairs, slabs, chunk_size=1)
-            return [cell for slab in gathered for cell in slab]
-        finally:
-            self.pool_stats = pool.stats
-            self.flight_records = pool.flight_records
+        order, inline or pooled."""
+        # Under ``batch`` each slab is already a coarse unit of work;
+        # submit one per chunk so the pool never re-bundles (and
+        # re-pickles) slabs.  Without it every cell is its own slab.
+        slabs = dispatch(self, self._run_pairs,
+                         partition(pairs, self.batch or 1),
+                         chunk_size=1 if self.batch else None)
+        return [cell for slab in slabs for cell in slab]
 
     def matrix(self) -> Dict[Tuple[str, str], CampaignCell]:
         """The matrix keyed by (protector, fault)."""

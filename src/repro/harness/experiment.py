@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
-                    Optional, Sequence, Union)
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Sequence, Union)
 
-from repro import observe
 from repro.runtime.kernel import (BatchResult, MetricAccumulator, partition,
-                                  run_batch)
+                                  run_batch, run_seed)
+from repro.runtime.pmap import dispatch
+from repro.runtime.store import (args_digest, cached_map, code_fingerprint,
+                                 fingerprint)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.runtime.store import ResultStore
@@ -90,11 +92,11 @@ class Experiment:
             certified run is byte-identical to the same run without
             ``certify=``.
         stream: Optional :class:`~repro.observe.stream.TelemetryStream`
-            handed to the pool: with an outer session installed,
-            captured chunks stream incremental telemetry deltas home
-            while trials run (the ``repro top`` live view) instead of
-            one snapshot per chunk at the end.  The folded session is
-            byte-identical either way.
+            handed to the pool, on inline runs too: with an outer
+            session installed, chunks stream incremental telemetry
+            deltas home while trials run (the ``repro top`` live view)
+            instead of one snapshot per chunk at the end.  The folded
+            session is byte-identical either way.
 
     After a pooled :meth:`run`, :attr:`pool_stats` holds the last map
     call's :class:`~repro.runtime.pmap.PoolStats` and
@@ -136,35 +138,7 @@ class Experiment:
             return [result for batch in self.run_batches()
                     for result in batch.results()]
         self._enforce_certificate()
-        if self.store is None:
-            return self._execute(list(self.seeds))
-        from repro.runtime.store import (MISS, args_digest,
-                                         code_fingerprint, fingerprint)
-
-        code = code_fingerprint(self.trial)
-        task_name = self._task_name()
-        # Every seed shares the arguments, so digest them once; each key
-        # equals ``store.key(task_name, (instrument,), seed, code)``.
-        digest = args_digest((self.instrument,))
-        keys = {seed: fingerprint(task_name, digest, seed, code)
-                for seed in self.seeds}
-        found = self.store.get_many([keys[seed] for seed in self.seeds])
-        missing = [seed for seed in self.seeds
-                   if found[keys[seed]] is MISS]
-        computed = iter(self._execute(missing))
-        out: List[TrialResult] = []
-        staged: List[Dict[str, Any]] = []
-        for seed in self.seeds:
-            result = found[keys[seed]]
-            if result is MISS:
-                result = next(computed)
-                staged.append({"key": keys[seed], "value": result,
-                               "task": task_name, "seed": seed})
-            out.append(result)
-        if staged:
-            # One flock'd append for the whole miss tail.
-            self.store.put_many(staged)
-        return out
+        return self._run_units(_execute_trial, list(self.seeds))
 
     def run_batches(self) -> List[BatchResult]:
         """The batched path: one :class:`BatchResult` per seed batch.
@@ -181,80 +155,45 @@ class Experiment:
         batches = partition(self.seeds,
                             self.batch if self.batch is not None
                             else max(1, len(self.seeds)))
-        if not batches:
-            return []
-        if self.store is None:
-            return self._execute_batches(batches)
-        from repro.runtime.store import MISS, code_fingerprint
-
-        code = code_fingerprint(self.trial)
-        task_name = self._task_name()
-        keys = [self.store.key(task_name, (self.instrument, batch),
-                               seed=batch[0], code=code)
-                for batch in batches]
-        found = self.store.get_many(keys)
-        missing = [batch for key, batch in zip(keys, batches)
-                   if found[key] is MISS]
-        computed = iter(self._execute_batches(missing))
-        out: List[BatchResult] = []
-        staged: List[Dict[str, Any]] = []
-        for key, batch in zip(keys, batches):
-            result = found[key]
-            if result is MISS:
-                result = next(computed)
-                staged.append({"key": key, "value": result,
-                               "task": task_name, "seed": batch[0],
-                               "trials": len(batch)})
-            out.append(result)
-        if staged:
-            self.store.put_many(staged)
-        return out
-
-    def _task_name(self) -> str:
-        return (f"{getattr(self.trial, '__module__', '?')}"
-                f".{getattr(self.trial, '__qualname__', 'trial')}")
-
-    def _execute(self, seeds: Sequence[int]) -> List[TrialResult]:
-        """Run ``seeds`` (a sub-sequence on store partial hits), in
-        order, through the serial loop or the pool."""
-        runner = functools.partial(_execute_trial, self.trial,
-                                   self.instrument)
-        if (self.workers <= 1 or len(seeds) <= 1) and self.stream is None:
-            return [runner(seed) for seed in seeds]
-        return self._pooled_map(runner, list(seeds))
-
-    def _execute_batches(self, batches: Sequence[Sequence[int]]
-                         ) -> List[BatchResult]:
-        """Run seed batches, in order, through the serial loop or the
-        pool (one pool item per batch: the batch *is* the chunk)."""
-        runner = functools.partial(run_batch, self.trial, self.instrument)
-        if self.workers <= 1 or len(batches) <= 1:
-            return [runner(batch) for batch in batches]
         # Each batch is already a coarse unit of work; submit one per
         # chunk so the pool never re-bundles (and re-pickles) batches.
-        return self._pooled_map(runner, list(batches), chunk_size=1)
+        return self._run_units(run_batch, batches, chunk_size=1)
 
-    def _pool(self):
-        from repro.runtime.pmap import ParallelMap
-
+    def _run_units(self, kernel: Callable, units: Sequence[Any],
+                   chunk_size: Optional[int] = None) -> List[Any]:
+        """``kernel(trial, instrument, unit)`` for every unit — a seed,
+        or a seed tuple under :func:`run_batch` — in order: served from
+        the store when there is one, the misses run inline or pooled."""
         # With no outer session installed, instrumented trials install
         # a process-global telemetry session, so unpicklable trials
         # must degrade to serial (not threads) to keep per-trial
         # digests isolated.  (Captured chunks are safe under threads:
         # each worker holds a thread-local session the per-trial
         # sessions nest inside.)
-        return ParallelMap(workers=self.workers, backend=self.backend,
-                           fallback="serial" if self.instrument
-                           else "thread",
-                           stream=self.stream)
-
-    def _pooled_map(self, runner, items, **kwargs):
-        """One pool map call, keeping its accounting on the experiment."""
-        pool = self._pool()
-        out = pool.map(runner, items, **kwargs)
-        self.pool_stats = pool.stats
-        self.flight_records = pool.flight_records
-        return out
+        run = functools.partial(
+            dispatch, self,
+            functools.partial(kernel, self.trial, self.instrument),
+            fallback="serial" if self.instrument else "thread",
+            chunk_size=chunk_size)
+        store = self.store
+        if store is None:
+            return run(units)
+        code = code_fingerprint(self.trial)
+        task = (f"{getattr(self.trial, '__module__', '?')}"
+                f".{getattr(self.trial, '__qualname__', 'trial')}")
+        if kernel is run_batch:
+            return cached_map(
+                store, units,
+                lambda batch: store.key(task, (self.instrument, batch),
+                                        seed=batch[0], code=code),
+                run, lambda batch: {"task": task, "seed": batch[0],
+                                    "trials": len(batch)})
+        # Every seed shares the arguments, so digest them once; each key
+        # equals ``store.key(task, (instrument,), seed, code)``.
+        digest = args_digest((self.instrument,))
+        return cached_map(store, units,
+                          lambda seed: fingerprint(task, digest, seed, code),
+                          run, lambda seed: {"task": task, "seed": seed})
 
     def summary(self, results: Optional[Sequence[Union[TrialResult,
                                                        BatchResult]]] = None
@@ -276,28 +215,11 @@ class Experiment:
 
 def _execute_trial(trial: Callable[[int], Dict[str, float]],
                    instrument: bool, seed: int) -> TrialResult:
-    """Run one seed — shared by the serial loop and the pool workers,
-    so both paths are the same code and stay byte-identical.
-
-    A raising trial dumps the executing process's flight-recorder
-    window (reason ``trial-failure``) before the exception propagates,
-    so the last events leading up to the failure survive even when the
-    failing chunk's telemetry is discarded; see
-    :mod:`repro.observe.flightrec`.
-    """
-    from repro.observe import flightrec
-
-    try:
-        if instrument:
-            with observe.session() as tel:
-                metrics = trial(seed)
-            return TrialResult(seed=seed, metrics=metrics,
-                               telemetry=tel.summary())
-        return TrialResult(seed=seed, metrics=trial(seed))
-    except BaseException:
-        flightrec.note_failure("trial-failure", seed=seed,
-                               instrument=instrument)
-        raise
+    """Run one seed as a :class:`TrialResult` — through
+    :func:`~repro.runtime.kernel.run_seed`, like the batch kernel, so
+    both paths are the same code and stay byte-identical."""
+    metrics, telemetry = run_seed(trial, instrument, seed)
+    return TrialResult(seed=seed, metrics=metrics, telemetry=telemetry)
 
 
 def run_trials(trial: Callable[[int], Dict[str, float]],

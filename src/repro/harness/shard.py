@@ -45,6 +45,7 @@ from repro.harness.campaign import CampaignCell, FaultCampaign
 from repro.observe import current as _telemetry
 from repro.observe import local_session as _local_session
 from repro.observe.stream import make_delta, validate_delta
+from repro.runtime.store import CodeDigests
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from repro.runtime.store import ResultStore
@@ -56,7 +57,8 @@ SHARD_SCHEMA = "repro-campaign-shard/v1"
 SHARD_TASK = "repro.harness.campaign.shard"
 
 
-def campaign_fingerprint(campaign: FaultCampaign) -> str:
+def campaign_fingerprint(campaign: FaultCampaign,
+                         digests: Optional[CodeDigests] = None) -> str:
     """Identity of a campaign for checkpoint addressing.
 
     Covers the source versions of the oracle and every protector and
@@ -64,13 +66,12 @@ def campaign_fingerprint(campaign: FaultCampaign) -> str:
     the label sets, the workload size and the base seed — everything a
     cell's value depends on.  Deliberately excludes ``workers`` /
     ``backend`` / ``batch``: those change *how* the matrix is computed,
-    never *what* it computes.
+    never *what* it computes.  ``digests`` lends a run's source-digest
+    memo (see :class:`~repro.runtime.store.CodeDigests`).
     """
-    from repro.runtime.store import code_fingerprint
-
     protector_labels = tuple(campaign.protectors)
     fault_labels = tuple(campaign.faults)
-    code = code_fingerprint(
+    code = (digests if digests is not None else CodeDigests())(
         campaign.oracle,
         *(campaign.protectors[label] for label in protector_labels),
         *(campaign.faults[label] for label in fault_labels))
@@ -221,7 +222,9 @@ class ShardedCampaign:
         self.store = store
         self.resume = resume
         self.max_shards = max_shards
-        self.fingerprint = campaign_fingerprint(campaign)
+        digests = CodeDigests()
+        self.fingerprint = campaign_fingerprint(campaign, digests)
+        self._cell_key = campaign._cell_keys(store, digests)
         self.stats = ShardStats(shards_total=len(self.plan))
 
     # -- checkpoint addressing --------------------------------------------
@@ -274,8 +277,7 @@ class ShardedCampaign:
              "trials": len(cells)}]
         for cell in cells:
             entries.append(
-                {"key": self.campaign._cell_key(cell.protector, cell.fault,
-                                                store=self.store),
+                {"key": self._cell_key((cell.protector, cell.fault)),
                  "value": cell, "task": "campaign.cell",
                  "seed": self.campaign.seed})
         self.store.put_many(entries)

@@ -45,12 +45,13 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
 
 from repro import observe
 from repro._util import stable_int
+from repro.observe import flightrec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.harness.experiment import TrialResult
 
 __all__ = ["BatchResult", "MetricAccumulator", "partition", "run_batch",
-           "seed_range", "trial_seed", "trial_stream"]
+           "run_seed", "seed_range", "trial_seed", "trial_stream"]
 
 #: Seed-space size for counter-derived streams; large enough that
 #: distinct (base, index) pairs never collide in practice.
@@ -189,17 +190,38 @@ class BatchResult:
                 for index, seed in enumerate(self.seeds)]
 
 
+def run_seed(trial: Callable[[int], Dict[str, float]], instrument: bool,
+             seed: int) -> Tuple[Dict[str, float], Optional[Dict[str, Any]]]:
+    """Run one seed: ``(metrics, telemetry digest or None)``.
+
+    The one per-seed runner of the scalar and the batched paths, so
+    both stay byte-identical.  Under ``instrument`` the trial runs
+    inside a fresh telemetry session whose summary is the digest.  A
+    raising trial dumps the executing process's flight-recorder window
+    (reason ``trial-failure``) before the exception propagates, so the
+    last events leading up to the failure survive even when the failing
+    chunk's telemetry is discarded; see :mod:`repro.observe.flightrec`.
+    """
+    try:
+        if instrument:
+            with observe.session() as tel:
+                metrics = trial(seed)
+            return metrics, tel.summary()
+        return trial(seed), None
+    except BaseException:
+        flightrec.note_failure("trial-failure", seed=seed,
+                               instrument=instrument)
+        raise
+
+
 def run_batch(trial: Callable[[int], Dict[str, float]], instrument: bool,
               seeds: Sequence[int]) -> BatchResult:
     """Execute one batch of seeds as a single pure function call.
 
-    The kernel of the batched path: runs ``trial(seed)`` for every seed
-    in order and folds the returned metrics into struct-of-arrays
-    columns.  Module-level (and driven through ``functools.partial``)
-    so process pools can pickle it, mirroring ``_execute_trial`` on the
-    scalar path.  Under ``instrument`` each trial runs inside a fresh
-    telemetry session exactly as the scalar path does, so per-trial
-    digests are byte-identical.
+    The kernel of the batched path: runs every seed in order through
+    :func:`run_seed`, as the scalar path does, and folds the returned
+    metrics into struct-of-arrays columns.  Module-level (and driven
+    through ``functools.partial``) so process pools can pickle it.
     """
     seeds = tuple(seeds)
     columns: Dict[str, array] = {}
@@ -208,12 +230,9 @@ def run_batch(trial: Callable[[int], Dict[str, float]], instrument: bool,
     key_orders: Dict[int, Tuple[str, ...]] = {}
     digests: List[Dict[str, Any]] = []
     for index, seed in enumerate(seeds):
+        metrics, digest = run_seed(trial, instrument, seed)
         if instrument:
-            with observe.session() as tel:
-                metrics = trial(seed)
-            digests.append(tel.summary())
-        else:
-            metrics = trial(seed)
+            digests.append(digest)
         last_position = -1
         ordered = True
         for key, value in metrics.items():

@@ -27,28 +27,31 @@ picks the process pool when the task and items are picklable and falls
 back to ``fallback`` (threads by default) when they are not — closures
 and lambdas keep working, they just stay in-process.
 
-**Telemetry capture.**  When the parent has a telemetry session
-installed at the moment a chunk is submitted, the chunk runs inside a
-worker-local session (:func:`repro.observe.local_session`) and ships
-its :meth:`~repro.observe.telemetry.Telemetry.snapshot` back with the
-results; the parent merges the snapshots strictly in submission order,
-so the merged telemetry of a pooled run is byte-identical to the serial
-run's (workload series — pool self-metrics ``repro_runtime_*`` are
-backend-dependent by nature; see docs/OBSERVABILITY.md).  The enabled
-check happens per chunk, not per pool, so a session installed while a
-long campaign is already fanned out still captures the remaining
-chunks.
+**Telemetry capture.**  Every chunk — in a worker, or the serial
+backend's one chunk in the parent — runs through one chunk runner.
+When the parent has a telemetry session installed at the moment a
+chunk is submitted, the chunk runs inside a worker-local session
+(:func:`repro.observe.local_session`) and ships its telemetry home as
+``repro-delta/v1`` documents (:func:`repro.observe.stream.make_delta`);
+the parent folds each chunk's deltas in emission order, chunks strictly
+in submission order, so the merged telemetry of a pooled run is
+byte-identical to the serial run's (workload series — pool
+self-metrics ``repro_runtime_*`` are backend-dependent by nature; see
+docs/OBSERVABILITY.md).  The enabled check happens per chunk, not per
+pool, so a session installed while a long campaign is already fanned
+out still captures the remaining chunks.
 
-**Delta streaming.**  Pass a :class:`~repro.observe.stream.
-TelemetryStream` as ``stream=`` and captured chunks ship their
-telemetry home *incrementally* — a ``repro-delta/v1`` document every
-``stream.every`` items — instead of once at the end.  The parent folds
-each chunk's deltas in emission order at gather time, which is
-byte-identical to the merge-at-end protocol, while an optional live
-view folds them in arrival order for the ``repro top`` dashboard.  A
-timed-out or failed chunk additionally dumps the process flight
-recorder's window (:mod:`repro.observe.flightrec`) into
+A *captured* chunk returns one final delta with its results.  Pass a
+:class:`~repro.observe.stream.TelemetryStream` as ``stream=`` and the
+chunk is *streamed* instead: a delta every ``stream.every`` items plus
+the final one go through the stream while the chunk runs, so an
+optional live view can fold them in arrival order for the ``repro top``
+dashboard.  A timed-out or failed chunk additionally dumps the process
+flight recorder's window (:mod:`repro.observe.flightrec`) into
 :attr:`ParallelMap.flight_records`.
+
+:func:`dispatch` is the harness runners' entry point: inline for
+trivial work, one :meth:`ParallelMap.map` call otherwise.
 """
 
 from __future__ import annotations
@@ -76,7 +79,8 @@ BACKENDS = ("auto", "serial", "thread", "process")
 
 @dataclasses.dataclass
 class PoolStats:
-    """Accounting for one :meth:`ParallelMap.map` call."""
+    """Accounting for one :meth:`ParallelMap.map` call; every field
+    after ``workers`` is a count."""
 
     backend: str = "serial"
     workers: int = 1
@@ -109,56 +113,40 @@ class PoolStats:
     flight_dumps: int = 0
 
 
-def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T]) -> List[R]:
-    """Run one contiguous slice of items — in a worker or the parent."""
-    return [fn(item) for item in chunk]
+def _run_chunk(fn: Callable[[T], R], chunk: Sequence[T],
+               origin: Any = None, sink: Any = None, every: int = 0):
+    """Run one contiguous slice of items — in a worker or the parent.
 
-
-def _run_chunk_captured(fn: Callable[[T], R], chunk: Sequence[T]):
-    """Run one chunk inside a worker-local telemetry session.
-
-    Returns ``(results, snapshot)`` — the chunk's outputs plus the
-    frozen telemetry the chunk produced, for the parent to merge in
-    submission order.  Module-level so the process backend can pickle
-    it.
-    """
-    with _local_session() as telemetry:
-        results = [fn(item) for item in chunk]
-        return results, telemetry.snapshot()
-
-
-def _run_chunk_streamed(fn: Callable[[T], R], chunk: Sequence[T],
-                        sink: Any, origin: Any, every: int):
-    """Run one chunk, streaming incremental telemetry deltas.
-
-    Like :func:`_run_chunk_captured`, but instead of shipping one
-    whole-chunk snapshot at the end, the worker emits a
-    ``repro-delta/v1`` document into ``sink`` every ``every`` items —
-    each covering exactly the telemetry since the previous emission,
-    thanks to :meth:`~repro.observe.telemetry.Telemetry.reset` — and
-    always one final delta for the tail.  Returns ``(results,
-    emitted)``; the parent takes exactly ``emitted`` deltas for
-    ``origin`` from the stream collector and folds them in emission
-    order, which is byte-identical to merging the whole-chunk snapshot.
+    Returns ``(results, emitted, deltas)``.  With no ``origin`` the
+    chunk runs bare and ships no telemetry: ``(results, 0, [])``.  With
+    an ``origin`` it runs inside a worker-local telemetry session whose
+    telemetry goes home as ``repro-delta/v1`` documents, each covering
+    exactly the telemetry since the previous one (thanks to
+    :meth:`~repro.observe.telemetry.Telemetry.reset`): with a ``sink``,
+    one into it every ``every`` items plus a final one for the tail,
+    ``emitted`` counting them for the parent to take from the stream
+    collector; without one (a *captured* chunk), just the final delta,
+    returned in ``deltas``.  Folding a chunk's deltas in emission order
+    is byte-identical to merging one whole-chunk snapshot.
     Module-level so the process backend can pickle it.
     """
+    if origin is None:
+        return [fn(item) for item in chunk], 0, []
     with _local_session() as telemetry:
         results: List[R] = []
         emitted = 0
-        since_emit = 0
         for item in chunk:
             results.append(fn(item))
-            since_emit += 1
-            if since_emit >= every:
-                sink.put(make_delta(origin, emitted,
-                                    telemetry.snapshot()))
+            if sink is not None and len(results) % every == 0:
+                sink.put(make_delta(origin, emitted, telemetry.snapshot()))
                 telemetry.reset()
                 emitted += 1
-                since_emit = 0
-        sink.put(make_delta(origin, emitted, telemetry.snapshot(),
-                            final=True))
-        emitted += 1
-        return results, emitted
+        final = make_delta(origin, emitted, telemetry.snapshot(),
+                           final=True)
+        if sink is None:
+            return results, 0, [final]
+        sink.put(final)
+        return results, emitted + 1, []
 
 
 def _picklable(*objects: Any) -> bool:
@@ -302,10 +290,7 @@ class ParallelMap:
                                tasks=len(tasks))
         self.flight_records = []
         if backend == "serial" or not tasks:
-            if tasks and self.stream is not None and _telemetry().enabled:
-                results = self._map_serial_streamed(fn, tasks)
-            else:
-                results = _run_chunk(fn, tasks)
+            results = self._run_serial(fn, tasks)
             self.stats.chunks = 1 if tasks else 0
             self._report()
             if tasks:
@@ -321,6 +306,7 @@ class ParallelMap:
         stream = self.stream
         epoch: Optional[int] = None
         sink: Any = None
+        every = stream.every if stream is not None else 0
         try:
             if stream is not None:
                 # Activation is per map call (an epoch); origins are
@@ -338,18 +324,11 @@ class ParallelMap:
                     # on.
                     captured = _telemetry().enabled
                     streamed = captured and sink is not None
+                    capture = ((epoch, submitted), sink, every) \
+                        if captured else ()
                     try:
-                        if streamed:
-                            future = pool.submit(
-                                _run_chunk_streamed, fn,
-                                chunks[submitted], sink,
-                                (epoch, submitted), stream.every)
-                        elif captured:
-                            future = pool.submit(_run_chunk_captured,
-                                                 fn, chunks[submitted])
-                        else:
-                            future = pool.submit(_run_chunk, fn,
-                                                 chunks[submitted])
+                        future = pool.submit(_run_chunk, fn,
+                                             chunks[submitted], *capture)
                     except Exception as exc:
                         # A broken shared executor rejects at submit
                         # time; a pre-failed future keeps the gather
@@ -369,38 +348,35 @@ class ParallelMap:
                 index, captured, streamed, future = pending.popleft()
                 try:
                     payload = future.result(timeout=self.timeout)
-                except concurrent.futures.TimeoutError:
-                    future.cancel()
-                    self.stats.timeouts += 1
-                    if captured:
-                        # The chunk's snapshot will never be merged; the
-                        # parent-side rerun below writes straight into
-                        # the installed session instead.
-                        self.stats.dropped_snapshots += 1
-                    chunk_results = self._retry_serial(
-                        fn, chunks, index, "chunk-timeout", streamed,
-                        epoch)
-                except Exception:
-                    # Worker death, pickling failure, or the task's own
-                    # exception: re-run serially once in the parent.  A
-                    # deterministic task error re-raises here with a
+                except Exception as exc:
+                    # A timeout, worker death, pickling failure, or the
+                    # task's own exception: re-run serially once in the
+                    # parent, after dumping the flight recorder's window
+                    # (the telemetry leading up to the failure).  A
+                    # deterministic task error re-raises there with a
                     # clean parent-side traceback.
+                    timed_out = isinstance(
+                        exc, concurrent.futures.TimeoutError)
+                    if timed_out:
+                        future.cancel()
+                        self.stats.timeouts += 1
+                    # The chunk's telemetry is never folded: the rerun
+                    # writes straight into the installed session, and
+                    # folding both would double count.
                     if captured:
                         self.stats.dropped_snapshots += 1
-                    chunk_results = self._retry_serial(
-                        fn, chunks, index, "chunk-serial-retry",
-                        streamed, epoch)
-                else:
                     if streamed:
-                        chunk_results, emitted = payload
-                        self._fold_deltas((epoch, index), emitted)
-                    elif captured:
-                        chunk_results, snapshot = payload
-                        tel = _telemetry()
-                        if tel.enabled:
-                            tel.merge(snapshot)
-                    else:
-                        chunk_results = payload
+                        self.stats.deltas_dropped += \
+                            stream.collector.discard((epoch, index))
+                    self.stats.serial_retries += 1
+                    self.flight_records.append(_flightrec.dump(
+                        "chunk-timeout" if timed_out
+                        else "chunk-serial-retry", chunk=index,
+                        backend=backend, tasks=len(chunks[index])))
+                    self.stats.flight_dumps += 1
+                    chunk_results = _run_chunk(fn, chunks[index])[0]
+                else:
+                    chunk_results = self._fold(payload, (epoch, index))
                 yield chunk_results
             self._report()
         finally:
@@ -417,62 +393,46 @@ class ParallelMap:
 
     # -- streaming ---------------------------------------------------------
 
-    def _map_serial_streamed(self, fn: Callable[[T], R],
-                             tasks: Sequence[T]) -> List[R]:
-        """The serial backend with streaming: one chunk, direct sink.
+    def _run_serial(self, fn: Callable[[T], R],
+                    tasks: Sequence[T]) -> List[R]:
+        """The serial backend: the whole task list as one chunk.
 
-        The whole task list runs as a single streamed chunk whose
-        deltas go straight to the collector (no queue, no thread), so
-        live dashboards update mid-run even without a pool, and the
-        final folded state stays byte-identical to the plain serial
-        run's.
+        With a stream attached and telemetry on, the chunk streams its
+        deltas straight to the collector (no queue, no thread), so live
+        dashboards update mid-run even without a pool, and the final
+        folded state stays byte-identical to the plain serial run's.
         """
         stream = self.stream
+        if not tasks or stream is None or not _telemetry().enabled:
+            return _run_chunk(fn, tasks)[0]
         epoch, sink = stream.activate("serial")
         try:
-            origin = (epoch, 0)
-            results, emitted = _run_chunk_streamed(
-                fn, tasks, sink, origin, stream.every)
+            payload = _run_chunk(fn, tasks, (epoch, 0), sink, stream.every)
             self.stats.captured_chunks += 1
             self.stats.streamed_chunks += 1
-            self._fold_deltas(origin, emitted)
+            return self._fold(payload, (epoch, 0))
         finally:
             stream.deactivate()
-        return results
 
-    def _fold_deltas(self, origin: Any, emitted: int) -> None:
-        """Take one finished chunk's deltas and fold them in order."""
-        deltas = self.stream.collector.take(origin, emitted)
+    def _fold(self, payload: Any, origin: Any) -> List[R]:
+        """A finished chunk's results, with its telemetry folded into
+        the installed session in emission order: the deltas it returned
+        (a captured chunk's one final delta), or the ``emitted`` ones a
+        streamed chunk put in the stream."""
+        results, emitted, deltas = payload
+        if emitted:
+            deltas = self.stream.collector.take(origin, emitted)
         tel = _telemetry()
         if tel.enabled:
             for delta in deltas:
                 tel.merge(delta["snapshot"])
-            self.stats.deltas_merged += len(deltas)
-        else:
+            if emitted:
+                self.stats.deltas_merged += len(deltas)
+        elif emitted:
             # Session uninstalled mid-gather: nowhere canonical to
             # fold into (the live view already saw them on arrival).
             self.stats.deltas_dropped += len(deltas)
-
-    def _retry_serial(self, fn: Callable[[T], R], chunks: Sequence,
-                      index: int, reason: str, streamed: bool,
-                      epoch: Optional[int]) -> List[R]:
-        """Parent-side rerun of a timed-out or failed chunk.
-
-        Discards the chunk's streamed deltas first (the rerun writes
-        straight into the installed session; folding both would double
-        count) and dumps the flight recorder's window — the most recent
-        telemetry leading up to the failure — into
-        :attr:`flight_records`.
-        """
-        self.stats.serial_retries += 1
-        if streamed:
-            self.stats.deltas_dropped += \
-                self.stream.collector.discard((epoch, index))
-        self.flight_records.append(_flightrec.dump(
-            reason, chunk=index, backend=self.stats.backend,
-            tasks=len(chunks[index])))
-        self.stats.flight_dumps += 1
-        return _run_chunk(fn, chunks[index])
+        return results
 
     # -- executors ---------------------------------------------------------
 
@@ -526,38 +486,13 @@ class ParallelMap:
         if not tel.enabled:
             return
         stats = self.stats
-        tel.metrics.inc("repro_runtime_tasks_total", stats.tasks,
-                        backend=stats.backend)
-        tel.metrics.inc("repro_runtime_chunks_total", stats.chunks,
-                        backend=stats.backend)
-        if stats.serial_retries:
-            tel.metrics.inc("repro_runtime_serial_retries_total",
-                            stats.serial_retries, backend=stats.backend)
-        if stats.timeouts:
-            tel.metrics.inc("repro_runtime_timeouts_total",
-                            stats.timeouts, backend=stats.backend)
-        if stats.captured_chunks:
-            tel.metrics.inc("repro_runtime_captured_chunks_total",
-                            stats.captured_chunks, backend=stats.backend)
-        if stats.dropped_snapshots:
-            tel.metrics.inc("repro_runtime_dropped_snapshots_total",
-                            stats.dropped_snapshots,
-                            backend=stats.backend)
-        if stats.pool_reuses:
-            tel.metrics.inc("repro_runtime_pool_reuses_total",
-                            stats.pool_reuses, backend=stats.backend)
-        if stats.streamed_chunks:
-            tel.metrics.inc("repro_runtime_streamed_chunks_total",
-                            stats.streamed_chunks, backend=stats.backend)
-        if stats.deltas_merged:
-            tel.metrics.inc("repro_runtime_deltas_merged_total",
-                            stats.deltas_merged, backend=stats.backend)
-        if stats.deltas_dropped:
-            tel.metrics.inc("repro_runtime_deltas_dropped_total",
-                            stats.deltas_dropped, backend=stats.backend)
-        if stats.flight_dumps:
-            tel.metrics.inc("repro_runtime_flight_dumps_total",
-                            stats.flight_dumps, backend=stats.backend)
+        # Every count field lands as ``repro_runtime_<field>_total``;
+        # tasks and chunks even at zero, the others only when nonzero.
+        for field in dataclasses.fields(stats)[2:]:
+            value = getattr(stats, field.name)
+            if value or field.name in ("tasks", "chunks"):
+                tel.metrics.inc(f"repro_runtime_{field.name}_total", value,
+                                backend=stats.backend)
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T],
@@ -565,3 +500,25 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T],
                  **kwargs: Any) -> List[R]:
     """One-shot functional form of :class:`ParallelMap`."""
     return ParallelMap(workers=workers, **kwargs).map(fn, items)
+
+
+def dispatch(owner: Any, fn: Callable[[T], R], items: Sequence[T],
+             fallback: str = "thread",
+             chunk_size: Optional[int] = None) -> List[R]:
+    """``[fn(item) for item in items]`` under a harness runner's
+    ``workers``/``backend``/``stream`` settings.
+
+    Runs inline when ``owner.workers <= 1`` or there is at most one
+    item, and no stream is attached; otherwise makes one
+    :meth:`ParallelMap.map` call and records its :class:`PoolStats` and
+    flight records on ``owner.pool_stats`` / ``owner.flight_records``.
+    """
+    if (owner.workers <= 1 or len(items) <= 1) and owner.stream is None:
+        return [fn(item) for item in items]
+    pool = ParallelMap(workers=owner.workers, backend=owner.backend,
+                       fallback=fallback, stream=owner.stream)
+    try:
+        return pool.map(fn, items, chunk_size=chunk_size)
+    finally:
+        owner.pool_stats = pool.stats
+        owner.flight_records = pool.flight_records

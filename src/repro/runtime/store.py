@@ -62,8 +62,8 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX hosts
     fcntl = None
 
-__all__ = ["MISS", "ResultStore", "args_digest", "code_fingerprint",
-           "fingerprint"]
+__all__ = ["MISS", "CodeDigests", "ResultStore", "args_digest",
+           "cached_map", "code_fingerprint", "fingerprint", "source_digest"]
 
 #: Sentinel returned by :meth:`ResultStore.get` on a miss — a stored
 #: ``None`` is a legitimate hit.
@@ -93,26 +93,56 @@ def args_digest(args: Any) -> str:
             f"-{hashlib.sha256(data).hexdigest()[:24]}")
 
 
+def source_digest(fn: Callable) -> str:
+    """One callable's part of a :func:`code_fingerprint`: its qualified
+    name and a digest of its source.
+
+    Falls back to the compiled bytecode for callables without
+    retrievable source (e.g. defined in a REPL) and to the repr for
+    builtins.
+    """
+    try:
+        body = inspect.getsource(fn)
+    except (OSError, TypeError):
+        code = getattr(fn, "__code__", None)
+        body = code.co_code.hex() if code is not None else repr(fn)
+    name = (f"{getattr(fn, '__module__', '?')}"
+            f".{getattr(fn, '__qualname__', type(fn).__name__)}")
+    return f"{name}={hashlib.sha256(body.encode('utf-8')).hexdigest()}"
+
+
 def code_fingerprint(*callables: Callable) -> str:
     """A digest of the *source* of one or more callables.
 
     Editing a task (or any helper passed alongside it) changes the
     fingerprint and therefore every key derived from it, so stale
-    results are never served after a code change.  Falls back to the
-    compiled bytecode for callables without retrievable source (e.g.
-    defined in a REPL) and to the repr for builtins.
+    results are never served after a code change.
     """
-    parts = []
-    for fn in callables:
-        try:
-            body = inspect.getsource(fn)
-        except (OSError, TypeError):
-            code = getattr(fn, "__code__", None)
-            body = code.co_code.hex() if code is not None else repr(fn)
-        name = (f"{getattr(fn, '__module__', '?')}"
-                f".{getattr(fn, '__qualname__', type(fn).__name__)}")
-        parts.append(f"{name}={hashlib.sha256(body.encode('utf-8')).hexdigest()}")
-    return hashlib.sha256("|".join(parts).encode("utf-8")).hexdigest()[:16]
+    return CodeDigests()(*callables)
+
+
+class CodeDigests:
+    """:func:`code_fingerprint` with each callable's
+    :func:`source_digest` taken once: ``digests(*callables) ==
+    code_fingerprint(*callables)``.
+
+    Owned by one run (a campaign pass, a sharded campaign), never by
+    the module, so an edit between runs is still seen.  Entries hold
+    their callable, so its ``id`` cannot be reused while memoised.
+    """
+
+    def __init__(self) -> None:
+        self._parts: Dict[int, Tuple[Callable, str]] = {}
+
+    def __call__(self, *callables: Callable) -> str:
+        parts = []
+        for fn in callables:
+            entry = self._parts.get(id(fn))
+            if entry is None:
+                entry = self._parts[id(fn)] = (fn, source_digest(fn))
+            parts.append(entry[1])
+        return hashlib.sha256("|".join(parts).encode("utf-8")
+                              ).hexdigest()[:16]
 
 
 def fingerprint(task_name: str, digest: str, seed: Optional[int],
@@ -216,35 +246,18 @@ class ResultStore:
     # -- the two-tier lookup ----------------------------------------------
 
     def get(self, key: str) -> Any:
-        """The stored value for ``key``, or :data:`MISS`.
-
-        Memory tier first; then the key index, refreshed from the log
-        when another writer has appended since the last read.  A disk
-        hit is promoted into the memory tier.
-        """
-        value = self.memory.get(key, default=MISS)
-        tel = self._session()
-        if value is not MISS:
-            self._record_hit(tel, key, "memory")
-            return value
-        row = self._rows.get(key)
-        if row is None and self._log_grew():
-            self.refresh()
-            row = self._rows.get(key)
-        if row is None:
-            self._record_miss(tel)
-            return MISS
-        return self._load_row(tel, key, row)
+        """The stored value for ``key``, or :data:`MISS` — the one-key
+        :meth:`get_many`."""
+        return self.get_many((key,))[key]
 
     def get_many(self, keys: Sequence[str]) -> Dict[str, Any]:
         """``{key: value-or-MISS}`` for every key, with at most one log
         refresh.
 
-        The batched counterpart of :meth:`get`: the memory tier is
-        consulted per key, then every remaining key is resolved against
-        the index, refreshing it once if any key is missing and the log
-        grew.  Hit/miss accounting and ``store.hit``/``store.miss``
-        events are identical to ``{k: self.get(k) for k in keys}``.
+        Memory tier first, per key; then every remaining key is
+        resolved against the index, refreshed once from the log if any
+        key is missing and another writer has appended since the last
+        read.  A disk hit is promoted into the memory tier.
         """
         out: Dict[str, Any] = {}
         wanted: Dict[str, None] = {}  # insertion-ordered key set
@@ -402,13 +415,10 @@ class ResultStore:
                        args, seed=seed,
                        code=code if code is not None
                        else code_fingerprint(fn))
-        value = self.get(key)
-        if value is MISS:
-            value = fn(*args)
-            self.put(key, value,
-                     task=task_name or getattr(fn, "__qualname__",
-                                               repr(fn)),
-                     seed=seed)
+        task = task_name or getattr(fn, "__qualname__", repr(fn))
+        [value] = cached_map(self, [args], lambda _: key,
+                             lambda units: [fn(*unit) for unit in units],
+                             lambda _: {"task": task, "seed": seed})
         return value
 
     # -- disk log ----------------------------------------------------------
@@ -533,3 +543,33 @@ class ResultStore:
             tel.metrics.inc("repro_runtime_store_misses_total", 1.0,
                             store=self.name)
             tel.publish("store.miss", store=self.name)
+
+
+def cached_map(store: Optional[ResultStore], units: Sequence[Any],
+               key: Callable[[Any], str],
+               run: Callable[[Sequence[Any]], Sequence[Any]],
+               meta: Callable[[Any], Dict[str, Any]]) -> List[Any]:
+    """``run(units)``, with every unit already in ``store`` served from
+    it — the one compute-on-miss loop of the harness.
+
+    Derives each unit's ``key`` once, looks them all up with one
+    :meth:`~ResultStore.get_many`, hands the misses (in unit order,
+    duplicates included) to one ``run`` call — skipped when every unit
+    hits — and persists them with one :meth:`~ResultStore.put_many`,
+    each record carrying ``meta(unit)``'s ``task``/``seed``/``trials``
+    fields.  Returns the values in unit order.  With no ``store`` it is
+    plain ``run(units)``.
+    """
+    if store is None:
+        return run(units)
+    keys = [key(unit) for unit in units]
+    found = store.get_many(keys)
+    out = [found[k] for k in keys]
+    missing = [index for index, value in enumerate(out) if value is MISS]
+    if missing:
+        computed = iter(run([units[index] for index in missing]))
+        for index in missing:
+            out[index] = next(computed)
+    store.put_many([{"key": keys[index], "value": out[index],
+                     **meta(units[index])} for index in missing])
+    return out

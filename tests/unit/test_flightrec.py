@@ -141,14 +141,18 @@ class TestPoolDumpTriggers:
         assert any(record["reason"] == "chunk-timeout"
                    for record in pool.flight_records)
 
-    def test_trial_failure_dumps_in_the_executing_process(self):
+    @pytest.mark.parametrize("batch", [None, 4])
+    def test_trial_failure_dumps_in_the_executing_process(self, batch):
         from repro.harness.experiment import Experiment
 
         def bad_trial(seed):
             raise RuntimeError("induced trial failure")
 
+        dumps = flightrec.recorder().dumps
         with pytest.raises(RuntimeError, match="induced trial failure"):
-            Experiment(name="flight", trial=bad_trial, seeds=(0,)).run()
+            Experiment(name="flight", trial=bad_trial, seeds=(0,),
+                       batch=batch).run()
+        assert flightrec.recorder().dumps == dumps + 1
         recent = flightrec.recent_dumps()
         assert recent and recent[-1]["reason"] == "trial-failure"
         assert recent[-1]["context"]["seed"] == 0
