@@ -20,11 +20,12 @@ without writing code:
   (availability, failure rate, recovery-latency percentiles, wall
   trials/sec), with optional Chrome-trace and OpenMetrics exports and
   pool fan-out;
-* ``top`` — the live campaign dashboard: run the injection matrix with
-  delta streaming and render a refreshing per-technique table while
-  cells execute (``--format json`` emits one ``repro-top-frame/v1``
-  document per refresh; the final frame embeds the canonical report,
-  byte-identical to a non-streaming ``campaign --format json`` run);
+* ``campaign`` — run the technique x fault-class injection matrix as a
+  table or (``--format json``) the canonical report; ``--shards``
+  checkpoints and resumes it, ``--gate`` adds a verdict, and ``--live``
+  refreshes a per-technique dashboard while cells run (``--format
+  json``: one ``repro-top-frame/v1`` document per refresh, the final
+  one embedding the canonical report);
 * ``bench`` — run the benchmark suite through the deterministic
   parallel runtime (warm worker pool, prewarmed before timing), check
   for results drift, and write ``BENCH_harness.json`` timings;
@@ -166,11 +167,12 @@ def _cmd_recommend(args) -> int:
 
 
 def _build_campaign(args, stream=None):
-    """The demo injection matrix shared by ``campaign`` and ``top``.
+    """The demo injection matrix of ``repro campaign``.
 
-    Returns ``(campaign, store)``; the protectors are closures, so the
+    Returns ``(campaign, sharded)``, ``sharded`` being the engine for
+    ``--shards`` or ``None``.  The protectors are closures, so the
     pool's ``auto`` backend degrades to threads — which is exactly what
-    the live dashboard wants (a SimpleQueue delta transport in the same
+    ``--live`` wants (a SimpleQueue delta transport in the same
     process).
     """
     from repro.adjudicators import PredicateAcceptanceTest
@@ -207,13 +209,15 @@ def _build_campaign(args, stream=None):
         return rx.execute
 
     store = None
-    if getattr(args, "store", None) and not getattr(args, "shards", None):
-        # Under --shards the path is a *checkpoint* store instead (see
-        # _make_sharded): cells are addressed through it by the shard
-        # checkpointer, never consulted per cell here.
+    if args.store:
         from repro.runtime.store import ResultStore
 
-        store = ResultStore(args.store, name="campaign")
+        # Under --shards the log holds shard checkpoints, opened quiet:
+        # checkpoint traffic differs between an interrupted and an
+        # uninterrupted run, and leaking it into the SLI section would
+        # break the resumed-run byte-identity contract.
+        store = (ResultStore(args.store, name="campaign-shards", quiet=True)
+                 if args.shards else ResultStore(args.store, name="campaign"))
     campaign = FaultCampaign(
         protectors={"N-version (3)": nvp_protector,
                     "recovery blocks": rb_protector,
@@ -225,35 +229,18 @@ def _build_campaign(args, stream=None):
                                                 trigger_modulo=1),
                 "load": lambda: LoadBug("l", probability=0.9)},
         oracle=oracle, requests=args.requests, seed=args.seed,
-        workers=args.workers, backend=getattr(args, "backend", "auto"),
-        batch=getattr(args, "batch", None), store=store, stream=stream)
-    return campaign, store
-
-
-def _make_sharded(campaign, args):
-    """The sharded engine for ``--shards``, or ``None`` without it.
-
-    The checkpoint store (``--store`` under ``--shards``) is opened
-    **quiet**: checkpoint traffic differs between an interrupted and an
-    uninterrupted run, and leaking it into the SLI section would break
-    the resumed-run byte-identity contract.
-    """
-    if not getattr(args, "shards", None):
-        return None
+        workers=args.workers, backend=args.backend, batch=args.batch,
+        store=None if args.shards else store, stream=stream)
+    if not args.shards:
+        return campaign, None
     from repro.harness.shard import ShardedCampaign
 
-    store = None
-    if getattr(args, "store", None):
-        from repro.runtime.store import ResultStore
-
-        store = ResultStore(args.store, name="campaign-shards",
-                            quiet=True)
-    if getattr(args, "resume", False) and store is None:
+    if args.resume and store is None:
         raise SystemExit("error: --resume needs --store PATH "
                          "(the checkpoint log to resume from)")
-    return ShardedCampaign(campaign, shards=args.shards, store=store,
-                           resume=getattr(args, "resume", False),
-                           max_shards=getattr(args, "max_shards", None))
+    return campaign, ShardedCampaign(
+        campaign, shards=args.shards, store=store, resume=args.resume,
+        max_shards=args.max_shards)
 
 
 def _evaluate_gate(document, args) -> dict:
@@ -263,15 +250,14 @@ def _evaluate_gate(document, args) -> dict:
     from repro.harness.gates import evaluate_campaign
 
     baseline = bench = None
-    if getattr(args, "gate_baseline", None):
+    if args.gate_baseline:
         with open(args.gate_baseline, encoding="utf-8") as handle:
             baseline = json.load(handle)
-    if getattr(args, "gate_bench", None):
+    if args.gate_bench:
         with open(args.gate_bench, encoding="utf-8") as handle:
             bench = json.load(handle)
-    return evaluate_campaign(
-        document, baseline=baseline, bench=bench,
-        tolerance=getattr(args, "gate_tolerance", 0.0))
+    return evaluate_campaign(document, baseline=baseline, bench=bench,
+                             tolerance=args.gate_tolerance)
 
 
 #: Exit status of a rejected ``repro campaign --gate`` (2 is argparse's).
@@ -307,7 +293,7 @@ def _render_frame_text(frame) -> str:
     total = cells["total"] if cells["total"] is not None else "?"
     tps = frame["trials_per_sec"]
     elapsed = frame["elapsed_sec"]
-    head = (f"repro top — frame {frame['seq']}"
+    head = (f"repro campaign --live — frame {frame['seq']}"
             f"{' (final)' if frame['final'] else ''}: "
             f"cells {cells['done']}/{total}"
             + (f", {elapsed:.1f}s elapsed" if elapsed is not None else "")
@@ -361,151 +347,130 @@ def _emit_frame(frame, fmt: str) -> None:
         print()
 
 
-def _run_live_campaign(args) -> int:
-    """``campaign --live`` / ``top``: stream deltas, refresh a dashboard.
-
-    The campaign runs on a worker thread with a
-    :class:`~repro.observe.stream.TelemetryStream` attached; the main
-    thread renders a frame every ``--interval`` seconds from the
-    *live view* (deltas folded in arrival order), then emits a final
-    frame whose embedded report comes from the *canonical* session
-    (deltas folded in submission order at gather time — byte-identical
-    to a non-streaming run).
-    """
+def _watch(run, args, campaign, sharded, stream):
+    """Run ``run()`` on a thread while the main thread emits a frame
+    every ``--interval`` seconds from the stream's *live view* (deltas
+    folded in arrival order).  Returns ``(cells, dashboard)``; the
+    caller emits the final frame."""
+    import dataclasses
     import threading
     import time
 
     from repro import observe
-    from repro.observe import flightrec
-    from repro.observe.stream import LiveDashboard, TelemetryStream
+    from repro.observe.stream import LiveDashboard
     from repro.runtime.pool import pool_stats
 
-    interval = max(0.05, args.interval)
-    live_view = observe.Telemetry()
-    stream = TelemetryStream(every=args.every, live=live_view)
-    live_monitor = observe.SliMonitor(live_view.bus, window=args.window,
-                                      wall_clock=time.perf_counter)
-    campaign, _ = _build_campaign(args, stream=stream)
-    sharded = _make_sharded(campaign, args)
+    live = stream.live
+    dash = LiveDashboard(
+        observe.SliMonitor(live.bus, window=args.window,
+                           wall_clock=time.perf_counter),
+        collector=stream.collector, wall_clock=time.perf_counter,
+        cells_total=len(campaign.protectors) * len(campaign.faults),
+        counts=lambda: dict(live.bus.counts), pool_info=pool_stats,
+        shards=(None if sharded is None
+                else lambda: dataclasses.asdict(sharded.stats)))
     box: dict = {}
-    with observe.session() as tel:
-        monitor = observe.SliMonitor(tel.bus, window=args.window)
-        shard_info = None
-        if sharded is not None:
-            import dataclasses as _dc
 
-            shard_info = lambda: _dc.asdict(sharded.stats)  # noqa: E731
-        dash = LiveDashboard(
-            live_monitor, collector=stream.collector,
-            wall_clock=time.perf_counter,
-            cells_total=len(campaign.protectors) * len(campaign.faults),
-            counts=lambda: dict(live_view.bus.counts),
-            pool_info=pool_stats, shards=shard_info)
+    def snap():
+        with stream.collector.locked():
+            return dash.frame()
 
-        def _snap():
-            with stream.collector.locked():
-                return dash.frame()
+    def work():
+        try:
+            box["cells"] = run()
+        except BaseException as exc:  # re-raised after join
+            box["error"] = exc
 
-        def _work():
-            try:
-                box["cells"] = (sharded.run() if sharded is not None
-                                else campaign.run())
-            except BaseException as exc:  # re-raised after join
-                box["error"] = exc
+    worker = threading.Thread(target=work, daemon=True,
+                              name="repro-campaign-live")
+    worker.start()
+    _emit_frame(snap(), args.format)
+    while worker.is_alive():
+        worker.join(timeout=max(0.05, args.interval))
+        if worker.is_alive():
+            _emit_frame(snap(), args.format)
+    if "error" in box:
+        raise box["error"]
+    # Honour --frames as a floor (CI asserts a minimum count without
+    # having to win a race against a fast campaign).
+    while dash.frames < max(1, args.frames) - 1:
+        _emit_frame(snap(), args.format)
+    return box["cells"], dash
 
-        worker = threading.Thread(target=_work, daemon=True,
-                                  name="repro-campaign-live")
-        worker.start()
-        _emit_frame(_snap(), args.format)
-        while worker.is_alive():
-            worker.join(timeout=interval)
-            if worker.is_alive():
-                _emit_frame(_snap(), args.format)
-        if "error" in box:
-            raise box["error"]
-        # Honour --frames as a floor (CI asserts a minimum count
-        # without having to win a race against a fast campaign).
-        while dash.frames < max(1, args.frames) - 1:
-            _emit_frame(_snap(), args.format)
-        report = _campaign_report(box["cells"], monitor, args)
+
+def _cmd_campaign(args) -> int:
+    """``repro campaign``: every mode runs and reports through here.
+
+    Telemetry stays off unless something reads it (``--live``,
+    ``--format json``, ``--shards`` or ``--gate``).  A run stopped by
+    ``--max-shards`` has no report and no verdict, in any mode.
+    """
+    import json
+
+    from repro import observe
+    from repro.observe import flightrec
+
+    stream = None
+    if args.live:
+        from repro.observe.stream import TelemetryStream
+
+        stream = TelemetryStream(every=args.every, live=observe.Telemetry())
+    campaign, sharded = _build_campaign(args, stream=stream)
+    run = sharded.run if sharded is not None else campaign.run
+    monitor = dash = None
+    if not (args.live or args.format == "json" or args.shards
+            or args.gate):
+        cells = run()
+    else:
+        with observe.session() as tel:
+            monitor = observe.SliMonitor(tel.bus, window=args.window)
+            if args.live:
+                cells, dash = _watch(run, args, campaign, sharded, stream)
+            else:
+                cells = run()
+    truncated = False
     if sharded is not None:
+        # Progress accounting goes to stderr so report bytes stay
+        # identical whether shards were served or executed.
         print(sharded.stats.summary(), file=sys.stderr)
-    verdict = (_evaluate_gate(report, args)
-               if getattr(args, "gate", False) else None)
-    if verdict is not None:
-        report = dict(report)
-        report["verdict"] = verdict
-    _emit_frame(dash.frame(final=True, report=report), args.format)
+        truncated = sharded.stats.truncated
+        if truncated:
+            print("campaign stopped by --max-shards; resume with "
+                  "--resume to finish", file=sys.stderr)
+    report = verdict = None
+    if monitor is not None and not truncated:
+        report = _campaign_report(cells, monitor, args)
+        if args.gate:
+            verdict = _evaluate_gate(report, args)
+            report = {**report, "verdict": verdict}
+    if dash is not None:
+        _emit_frame(dash.frame(final=True, report=report), args.format)
+    elif truncated:
+        pass  # the notes above are the whole output
+    elif args.format == "json":
+        print(json.dumps(report, sort_keys=True, indent=2, default=str))
+    else:
+        print(campaign.render_from(
+            cells, title="correct-result rate: technique x fault class"))
+        if verdict is not None:
+            from repro.harness.report import render_verdict
+
+            print()
+            print(render_verdict(verdict))
+        if campaign.store is not None:
+            stats = campaign.store.stats()
+            print(f"\nresult store: {stats['hits']} hits, "
+                  f"{stats['misses']} misses, {stats['writes']} writes "
+                  f"({args.store})")
     if args.flight_out:
         text = flightrec.recorder().dump_jsonl(
-            "cli-flight-out", command="campaign-live",
+            "cli-flight-out", command="campaign",
             failure_dumps=len(campaign.flight_records))
-        error = _write_file(args.flight_out, text + "\n")
-        if error:
-            print(f"error: {error}", file=sys.stderr)
+        if not _write_file(args.flight_out, text + "\n"):
             return 1
     if verdict is not None and not verdict["is_accepted"]:
         return GATE_EXIT_REJECTED
     return 0
-
-
-def _cmd_campaign(args) -> int:
-    if getattr(args, "live", False):
-        return _run_live_campaign(args)
-    if args.format == "json" or getattr(args, "shards", None) \
-            or getattr(args, "gate", False):
-        import json
-
-        from repro import observe
-
-        campaign, store = _build_campaign(args)
-        sharded = _make_sharded(campaign, args)
-        with observe.session() as tel:
-            monitor = observe.SliMonitor(tel.bus, window=args.window)
-            cells = sharded.run() if sharded is not None \
-                else campaign.run()
-        if sharded is not None:
-            # Progress accounting goes to stderr so report bytes stay
-            # identical whether shards were served or executed.
-            print(sharded.stats.summary(), file=sys.stderr)
-            if sharded.stats.truncated:
-                print("campaign stopped by --max-shards; resume with "
-                      "--resume to finish", file=sys.stderr)
-                return 0
-        document = _campaign_report(cells, monitor, args)
-        verdict = (_evaluate_gate(document, args)
-                   if getattr(args, "gate", False) else None)
-        if args.format == "json":
-            if verdict is not None:
-                document = dict(document)
-                document["verdict"] = verdict
-            print(json.dumps(document, sort_keys=True, indent=2,
-                             default=str))
-        else:
-            print(campaign.render_from(
-                cells, title="correct-result rate: technique x "
-                             "fault class"))
-            if verdict is not None:
-                from repro.harness.report import render_verdict
-
-                print()
-                print(render_verdict(verdict))
-        if verdict is not None and not verdict["is_accepted"]:
-            return GATE_EXIT_REJECTED
-        return 0
-    campaign, store = _build_campaign(args)
-    print(campaign.render(
-        title="correct-result rate: technique x fault class"))
-    if store is not None:
-        stats = store.stats()
-        print(f"\nresult store: {stats['hits']} hits, "
-              f"{stats['misses']} misses, {stats['writes']} writes "
-              f"({args.store})")
-    return 0
-
-
-def _cmd_top(args) -> int:
-    return _run_live_campaign(args)
 
 
 def _cmd_demo(args) -> int:
@@ -697,14 +662,16 @@ def _run_scenario(args):
     return tel, metrics
 
 
-def _write_file(path: str, content: str) -> Optional[str]:
-    """Write ``content`` to ``path``; returns an error message or None."""
+def _write_file(path: str, content: str) -> bool:
+    """Write ``content`` to ``path``; on failure report the error on
+    stderr and return False."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(content)
     except OSError as exc:
-        return f"cannot write {path}: {exc}"
-    return None
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_trace(args) -> int:
@@ -716,17 +683,13 @@ def _cmd_trace(args) -> int:
     print()
     print(tel.tracer.timeline(limit=args.limit))
     if args.jsonl:
-        error = _write_file(args.jsonl, tel.tracer.export_jsonl())
-        if error:
-            print(f"error: {error}", file=sys.stderr)
+        if not _write_file(args.jsonl, tel.tracer.export_jsonl()):
             return 1
         print(f"\n{len(tel.tracer.spans)} spans written to {args.jsonl}")
     if args.out:
         from repro.observe.export import render_chrome_trace
 
-        error = _write_file(args.out, render_chrome_trace(tel.tracer))
-        if error:
-            print(f"error: {error}", file=sys.stderr)
+        if not _write_file(args.out, render_chrome_trace(tel.tracer)):
             return 1
         print(f"\nChrome trace written to {args.out} "
               f"(load it at https://ui.perfetto.dev)")
@@ -795,9 +758,7 @@ def _cmd_report(args) -> int:
     if args.metrics_out:
         exports.append((args.metrics_out, render_openmetrics(tel.metrics)))
     for path, content in exports:
-        error = _write_file(path, content)
-        if error:
-            print(f"error: {error}", file=sys.stderr)
+        if not _write_file(path, content):
             return 1
     return 0
 
@@ -832,26 +793,6 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--top", type=int, default=5)
     rec.set_defaults(func=_cmd_recommend)
 
-    def live_args(sub_parser):
-        """Flags shared by ``campaign --live`` and ``top``."""
-        sub_parser.add_argument(
-            "--interval", type=float, default=1.0,
-            help="seconds between dashboard refreshes")
-        sub_parser.add_argument(
-            "--frames", type=int, default=0, metavar="N",
-            help="emit at least N frames (a floor, not a cap — lets CI "
-                 "assert a frame count without racing the campaign)")
-        sub_parser.add_argument(
-            "--every", type=int, default=1, metavar="K",
-            help="items a worker executes between delta emissions")
-        sub_parser.add_argument(
-            "--window", type=int, default=256,
-            help="SLI sliding-window size, in samples")
-        sub_parser.add_argument(
-            "--flight-out", metavar="PATH", default=None,
-            help="write the process flight-recorder window as a "
-                 "repro-events-jsonl/v1 log on exit")
-
     campaign = sub.add_parser(
         "campaign", help="run a technique x fault-class injection matrix")
     campaign.add_argument("--requests", type=int, default=120)
@@ -876,8 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "run's final frame embeds)")
     campaign.add_argument("--live", action="store_true",
                           help="stream telemetry deltas and refresh a "
-                               "dashboard while the matrix runs "
-                               "(equivalent to 'repro top')")
+                               "dashboard while the matrix runs")
     campaign.add_argument("--shards", type=int, default=None, metavar="N",
                           help="partition the matrix into N deterministic "
                                "shards, each one pool work unit; with "
@@ -904,29 +844,22 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--gate-tolerance", type=float, default=0.0,
                           help="absolute rate tolerance for the "
                                "telemetry-drift gate")
-    live_args(campaign)
+    campaign.add_argument("--interval", type=float, default=1.0,
+                          help="with --live: seconds between dashboard "
+                               "refreshes")
+    campaign.add_argument("--frames", type=int, default=0, metavar="N",
+                          help="with --live: emit at least N frames (a "
+                               "floor, not a cap — lets CI assert a frame "
+                               "count without racing the campaign)")
+    campaign.add_argument("--every", type=int, default=1, metavar="K",
+                          help="with --live: items a worker executes "
+                               "between delta emissions")
+    campaign.add_argument("--window", type=int, default=256,
+                          help="SLI sliding-window size, in samples")
+    campaign.add_argument("--flight-out", metavar="PATH", default=None,
+                          help="write the process flight-recorder window "
+                               "as a repro-events-jsonl/v1 log on exit")
     campaign.set_defaults(func=_cmd_campaign)
-
-    top = sub.add_parser(
-        "top", help="live campaign dashboard: stream telemetry deltas "
-                    "and refresh per-technique SLIs while cells run")
-    top.add_argument("--requests", type=int, default=120)
-    top.add_argument("--seed", type=int, default=7)
-    top.add_argument("--workers", type=int, default=2,
-                     help="pool workers for the campaign under watch")
-    top.add_argument("--backend", choices=("auto", "serial", "thread",
-                                           "process"),
-                     default="auto")
-    top.add_argument("--format", choices=("text", "json"),
-                     default="text",
-                     help="json: one repro-top-frame/v1 document per "
-                          "refresh, final frame embeds the canonical "
-                          "report")
-    live_args(top)
-    top.set_defaults(func=_cmd_top, live=True, batch=None, store=None,
-                     shards=None, resume=False, max_shards=None,
-                     gate=False, gate_baseline=None, gate_bench=None,
-                     gate_tolerance=0.0)
 
     from repro.runtime.bench import configure_parser as _configure_bench
 

@@ -94,9 +94,9 @@ class Experiment:
         stream: Optional :class:`~repro.observe.stream.TelemetryStream`
             handed to the pool, on inline runs too: with an outer
             session installed, chunks stream incremental telemetry
-            deltas home while trials run (the ``repro top`` live view)
-            instead of one snapshot per chunk at the end.  The folded
-            session is byte-identical either way.
+            deltas home while trials run (the ``repro campaign
+            --live`` view) instead of one snapshot per chunk at the
+            end.  The folded session is byte-identical either way.
 
     After a pooled :meth:`run`, :attr:`pool_stats` holds the last map
     call's :class:`~repro.runtime.pmap.PoolStats` and

@@ -82,33 +82,44 @@ class DeepAnalysis:
     # -- phase 1: summaries ------------------------------------------------
 
     def summarize(self, modules: Sequence[ModuleSource]) -> None:
-        for module in modules:
-            name, _ = module_name_for(module.path)
-            summary = self._cached_summary(module, name)
+        units = [(module, module_name_for(module.path)[0])
+                 for module in modules]
+        for (module, name), summary in zip(units, self._summaries(units)):
             self.summaries[name] = summary
             for qual, fn in summary.functions.items():
                 self.functions[f"{name}:{qual}"] = fn
 
-    def _cached_summary(self, module: ModuleSource,
-                        name: str) -> ModuleSummary:
+    def _summaries(self, units: List[Tuple[ModuleSource, str]]
+                   ) -> List[ModuleSummary]:
+        """Summaries in unit order; a cache serves its hits with one
+        ``get_many`` and stores the misses with one ``put_many``."""
         if self.cache is None:
-            return summarize_module(module, name)
-        from repro.runtime.store import MISS
+            return [summarize_module(module, name) for module, name in units]
+        from repro.runtime.store import cached_map
 
-        key = self.cache.key("repro.lint.deep.summary",
-                             (name, module.source),
-                             code=SUMMARY_VERSION)
-        payload = self.cache.get(key)
-        if payload is not MISS:
-            self.cache_hits += 1
-            summary = ModuleSummary.from_dict(payload)
-            summary.path = module.path  # may have moved since caching
-            return summary
-        self.cache_misses += 1
-        summary = summarize_module(module, name)
-        self.cache.put(key, summary.as_dict(),
-                       task="repro.lint.deep.summary")
-        return summary
+        task = "repro.lint.deep.summary"
+        fresh: Dict[str, ModuleSummary] = {}
+
+        def run(misses: Sequence[Tuple[ModuleSource, str]]) -> List[dict]:
+            self.cache_misses += len(misses)
+            fresh.update((name, summarize_module(module, name))
+                         for module, name in misses)
+            return [fresh[name].as_dict() for _, name in misses]
+
+        payloads = cached_map(
+            self.cache, units,
+            lambda unit: self.cache.key(task, (unit[1], unit[0].source),
+                                        code=SUMMARY_VERSION),
+            run, lambda unit: {"task": task})
+        summaries = []
+        for (module, name), payload in zip(units, payloads):
+            summary = fresh.get(name)
+            if summary is None:
+                self.cache_hits += 1
+                summary = ModuleSummary.from_dict(payload)
+                summary.path = module.path  # may have moved since caching
+            summaries.append(summary)
+        return summaries
 
     # -- phase 2: the fixpoint ---------------------------------------------
 

@@ -23,8 +23,8 @@ text, JSONL event logs).  All four pieces snapshot into picklable
 documents and merge deterministically, which is how the parallel
 runtime ships worker telemetry back to the parent session —
 incrementally, when a :class:`~repro.observe.stream.TelemetryStream`
-is attached (the ``repro top`` live dashboard).  Every process also
-keeps an always-on bounded flight recorder
+is attached (the ``repro campaign --live`` dashboard).  Every process
+also keeps an always-on bounded flight recorder
 (:mod:`~repro.observe.flightrec`) whose window is dumped on chunk
 timeouts, serial retries and trial failures.
 

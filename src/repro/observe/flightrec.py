@@ -38,6 +38,7 @@ one validator covers exporter output and crash dumps alike.
 from __future__ import annotations
 
 import collections
+import itertools
 import os
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
@@ -81,6 +82,11 @@ class FlightRecorder:
     payload copied at record time: an event's payload dict, or a span's
     field values as a tuple (its ``attrs`` by reference, as
     ``to_dict`` gives them).  The dicts are built only when read.
+
+    Threads record concurrently (a thread-backend pool, a stream's
+    drain thread): each ``seq`` is one atomic ``next()`` on a shared
+    counter, and reads sort the window by ``seq``, because a thread
+    preempted before its append lands out of place in the ring.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -91,6 +97,7 @@ class FlightRecorder:
             maxlen=capacity)
         #: Total records ever observed (eviction never decrements it).
         self.captured = 0
+        self._seq = itertools.count()
         #: Dump documents produced so far.
         self.dumps = 0
         self._recent: Deque[Dict[str, Any]] = collections.deque(
@@ -100,13 +107,13 @@ class FlightRecorder:
 
     def record_event(self, event: Event) -> None:
         """Bus handler: fold one published (or redelivered) event in."""
-        self.records.append((event.topic, event.time, self.captured,
+        self.records.append((event.topic, event.time, next(self._seq),
                              dict(event.payload)))
         self.captured += 1
 
     def record_span(self, span: Span) -> None:
         """Tracer ``on_finish`` tap: fold one finished span in."""
-        self.records.append(("span", span.end, self.captured,
+        self.records.append(("span", span.end, next(self._seq),
                              (span.name, span.span_id, span.parent_id,
                               span.start, span.end, span.seq, span.status,
                               span.attrs)))
@@ -129,7 +136,8 @@ class FlightRecorder:
         return [{"topic": topic, "time": time, "seq": seq,
                  "payload": (dict(zip(_SPAN_FIELDS, payload))
                              if type(payload) is tuple else dict(payload))}
-                for topic, time, seq, payload in self.records]
+                for topic, time, seq, payload in sorted(
+                    self.records, key=lambda record: record[2])]
 
     def clear(self) -> None:
         """Drop the retained window (tallies keep counting)."""

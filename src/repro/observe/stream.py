@@ -27,8 +27,8 @@ Two consumers fold the same stream:
   takes each chunk's deltas at gather time and folds them in
   submission order, replacing the merge-at-end snapshot 1:1;
 * an optional **live view** — a second Telemetry folded in *arrival*
-  order by the collector's drain thread, feeding the ``repro top``
-  dashboard while chunks are still in flight.  The live view is
+  order by the collector's drain thread, feeding the ``repro campaign
+  --live`` dashboard while chunks are still in flight.  The live view is
   advisory (arrival order is nondeterministic; a dropped chunk's
   deltas may already be in it); the canonical session is the one whose
   byte-identity is proven, so final dashboards report from it.
@@ -58,7 +58,8 @@ __all__ = ["DELTA_SCHEMA", "FRAME_SCHEMA", "make_delta", "validate_delta",
 #: Schema tag of one streamed delta document.
 DELTA_SCHEMA = "repro-delta/v1"
 
-#: Schema tag of one live-dashboard frame (``repro top --format json``).
+#: Schema tag of one live-dashboard frame (``repro campaign --live
+#: --format json``).
 FRAME_SCHEMA = "repro-top-frame/v1"
 
 #: Default items per delta emission.
@@ -135,12 +136,9 @@ class StreamCollector:
     serially and its deltas must not double-count).
     """
 
-    def __init__(self, live: Optional[Any] = None,
-                 on_delta: Optional[Callable[[Dict[str, Any]], None]]
-                 = None) -> None:
+    def __init__(self, live: Optional[Any] = None) -> None:
         #: Optional live-view Telemetry, folded in arrival order.
         self.live = live
-        self._on_delta = on_delta
         # Reentrant: dashboards snapshot frames under locked() while
         # the frame builder calls stats() on the same collector.
         self._lock = threading.RLock()
@@ -178,8 +176,6 @@ class StreamCollector:
             else:
                 self._buffers.setdefault(origin, []).append(delta)
                 self._ready.notify_all()
-        if self._on_delta is not None:
-            self._on_delta(delta)
 
     def take(self, origin: Any, count: int,
              timeout: float = TAKE_TIMEOUT) -> List[Dict[str, Any]]:
@@ -311,8 +307,6 @@ class TelemetryStream:
         live: Optional live-view :class:`~repro.observe.telemetry.
             Telemetry`, folded in arrival order (see the module
             docstring for its advisory nature).
-        on_delta: Optional callback invoked with every arriving delta
-            (after the live fold) — dashboards and tests.
 
     The stream is reusable across map calls (each activation is an
     epoch; origins are ``(epoch, chunk_index)``, so stragglers of an
@@ -320,13 +314,11 @@ class TelemetryStream:
     """
 
     def __init__(self, every: int = DEFAULT_EVERY,
-                 live: Optional[Any] = None,
-                 on_delta: Optional[Callable[[Dict[str, Any]], None]]
-                 = None) -> None:
+                 live: Optional[Any] = None) -> None:
         if every <= 0:
             raise ValueError("every must be positive")
         self.every = every
-        self.collector = StreamCollector(live=live, on_delta=on_delta)
+        self.collector = StreamCollector(live=live)
         self._epoch = 0
         self._queue: Optional[Any] = None
         self._drainer: Optional[threading.Thread] = None
@@ -396,10 +388,12 @@ class LiveDashboard:
 
     One frame is a self-contained JSON document: progress, stream and
     pool accounting, flight-recorder state, and the monitor's full SLI
-    report.  ``repro top`` renders frames as a refreshing table;
-    ``--format json`` prints one frame per line for CI, and the final
-    frame additionally embeds the canonical (non-streaming-identical)
-    campaign report under ``"report"``.
+    report.  ``repro campaign --live`` renders frames as a refreshing
+    table; ``--format json`` prints one frame per line for CI, and the
+    final frame additionally embeds the canonical
+    (non-streaming-identical) campaign report under ``"report"`` —
+    ``null`` when ``--max-shards`` stopped the run before its last
+    shard.
 
     Args:
         monitor: The :class:`~repro.observe.sli.SliMonitor` the frame's

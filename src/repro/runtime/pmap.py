@@ -45,10 +45,10 @@ A *captured* chunk returns one final delta with its results.  Pass a
 :class:`~repro.observe.stream.TelemetryStream` as ``stream=`` and the
 chunk is *streamed* instead: a delta every ``stream.every`` items plus
 the final one go through the stream while the chunk runs, so an
-optional live view can fold them in arrival order for the ``repro top``
-dashboard.  A timed-out or failed chunk additionally dumps the process
-flight recorder's window (:mod:`repro.observe.flightrec`) into
-:attr:`ParallelMap.flight_records`.
+optional live view can fold them in arrival order for the ``repro
+campaign --live`` dashboard.  A timed-out or failed chunk additionally
+dumps the process flight recorder's window
+(:mod:`repro.observe.flightrec`) into :attr:`ParallelMap.flight_records`.
 
 :func:`dispatch` is the harness runners' entry point: inline for
 trivial work, one :meth:`ParallelMap.map` call otherwise.

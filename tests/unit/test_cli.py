@@ -20,6 +20,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
+    def test_top_is_not_a_command(self):
+        # The live dashboard is `repro campaign --live`.
+        with pytest.raises(SystemExit) as info:
+            main(["top"])
+        assert info.value.code == 2
+
 
 class TestTables:
     def test_renders_both_tables_and_verdict(self, capsys):
@@ -215,7 +221,7 @@ class TestLiveDashboardCommands:
         return frames
 
     def test_top_emits_valid_frames_floor(self, capsys):
-        assert main(["top", "--requests", "8", "--seed", "3",
+        assert main(["campaign", "--live", "--requests", "8", "--seed", "3",
                      "--workers", "2", *self.LIVE]) == 0
         frames = self._frames(capsys.readouterr().out)
         # --frames is a floor, not a cap.
@@ -244,7 +250,7 @@ class TestLiveDashboardCommands:
         from repro.observe.export.jsonl import validate_event_log
 
         path = tmp_path / "flight.jsonl"
-        assert main(["top", "--requests", "8", "--seed", "3",
+        assert main(["campaign", "--live", "--requests", "8", "--seed", "3",
                      "--workers", "2", *self.LIVE,
                      "--flight-out", str(path)]) == 0
         header = validate_event_log(path.read_text())
@@ -253,8 +259,52 @@ class TestLiveDashboardCommands:
     def test_top_leaves_no_session_installed(self, capsys):
         from repro import observe
 
-        main(["top", "--requests", "4", "--seed", "3", *self.LIVE])
+        main(["campaign", "--live", "--requests", "4", "--seed", "3",
+              *self.LIVE])
         assert observe.current().enabled is False
+
+    def test_truncated_live_gated_run_has_no_report(self, tmp_path,
+                                                    capsys):
+        import json
+
+        store = str(tmp_path / "ck.jsonl")
+        base = ["campaign", "--requests", "10", "--seed", "3",
+                "--shards", "4"]
+        # Stopped after one of four shards: no report, so nothing for
+        # the gate to accept.
+        assert main([*base, "--store", store, "--max-shards", "1",
+                     "--gate", "--live", *self.LIVE]) == 0
+        run = capsys.readouterr()
+        assert "truncated" in run.err
+        final = self._frames(run.out)[-1]
+        assert final["final"] is True and final["report"] is None
+        # Resumed live, the final report is the cold run's bytes.
+        assert main([*base, "--store", store, "--resume", "--live",
+                     *self.LIVE]) == 0
+        resumed = self._frames(capsys.readouterr().out)[-1]["report"]
+        assert main([*base, "--format", "json"]) == 0
+        cold = capsys.readouterr().out
+        assert json.dumps(resumed, sort_keys=True, indent=2,
+                          default=str) + "\n" == cold
+
+    def test_flight_out_without_live(self, tmp_path, capsys):
+        from repro.observe.export.jsonl import validate_event_log
+
+        path = tmp_path / "flight.jsonl"
+        assert main(["campaign", "--requests", "8", "--seed", "3",
+                     "--format", "json", "--flight-out", str(path)]) == 0
+        header = validate_event_log(path.read_text())
+        assert header["source"] == "flight-recorder"
+
+    def test_text_run_installs_no_session(self, monkeypatch, capsys):
+        from repro import observe
+
+        def refuse():
+            raise AssertionError("telemetry-off path opened a session")
+
+        monkeypatch.setattr(observe, "session", refuse)
+        assert main(["campaign", "--requests", "4", "--seed", "3"]) == 0
+        assert "correct-result rate" in capsys.readouterr().out
 
 
 class TestTraceCommand:

@@ -50,6 +50,38 @@ class TestRingBuffer:
         assert rec.window() == []
         assert rec.captured == 1
 
+    def test_concurrent_sessions_dump_a_valid_window(self):
+        # Thread-backend workers and a stream's drain thread record into
+        # one process recorder at once; a thread preempted mid-record
+        # must not leave a duplicate or out-of-order seq in the dump.
+        import sys
+        import threading
+
+        rec = FlightRecorder(capacity=12000)
+        sessions = [observe.Telemetry() for _ in range(4)]
+        for tel in sessions:
+            rec.attach(tel)
+
+        def hammer(tel):
+            for i in range(3000):
+                tel.publish("unit.e", i=i)
+
+        threads = [threading.Thread(target=hammer, args=(tel,))
+                   for tel in sessions]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        validate_event_log(rec.dump_jsonl("unit-test"))
+        seqs = [r["seq"] for r in rec.window()]
+        assert len(set(seqs)) == len(seqs) == 12000
+
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=0)

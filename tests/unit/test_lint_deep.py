@@ -201,6 +201,37 @@ class TestSummaryCache:
         assert [f.as_dict() for f in warm_findings] == \
             [f.as_dict() for f in cold.findings()]
 
+    def test_one_lookup_and_one_batched_write_per_run(self, tmp_path):
+        from repro.runtime.store import ResultStore
+
+        def counted(store):
+            calls = {"get_many": 0, "put_many": 0}
+            for name in calls:
+                method = getattr(store, name)
+
+                def wrapper(*args, _name=name, _method=method):
+                    calls[_name] += 1
+                    return _method(*args)
+
+                setattr(store, name, wrapper)
+            return calls
+
+        store_path = str(tmp_path / "summaries.jsonl")
+        sources = _sources()
+        cold_store = ResultStore(store_path, name="lint-deep")
+        cold_calls = counted(cold_store)
+        DeepAnalysis(cache=cold_store).run(sources)
+        assert cold_store.stats()["puts_batched"] == len(sources)
+        assert cold_calls == {"get_many": 1, "put_many": 1}
+
+        warm_store = ResultStore(store_path, name="lint-deep")
+        warm_calls = counted(warm_store)
+        warm = DeepAnalysis(cache=warm_store)
+        warm.run(sources)
+        assert warm.cache_misses == 0
+        assert warm_store.stats()["writes"] == 0
+        assert warm_calls["get_many"] == 1
+
     def test_edited_module_invalidates_only_itself(self, tmp_path):
         from repro.runtime.store import ResultStore
 
