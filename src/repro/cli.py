@@ -500,35 +500,20 @@ def _cmd_demo(args) -> int:
 def _cmd_lint(args) -> int:
     from repro.lint import (
         Baseline,
-        LintEngine,
-        default_rules,
+        build_engine,
         render_github,
         render_json,
         render_text,
     )
-    from repro.lint.rules_diversity import NearCloneRule
 
     select = ([rid.strip() for rid in args.select.split(",") if rid.strip()]
               if args.select else None)
     try:
-        registry = default_rules()
-        if args.diversity_threshold is not None:
-            if not 0.0 < args.diversity_threshold <= 1.0:
-                raise ValueError("--diversity-threshold must lie in (0, 1]")
-            for rule in registry.rules(["DIV001"]):
-                assert isinstance(rule, NearCloneRule)
-                rule.threshold = args.diversity_threshold
         if args.certificate and not args.deep:
             raise ValueError("--certificate requires --deep")
-        deep_cache = None
-        if args.deep and args.deep_cache:
-            from repro.runtime.store import ResultStore
-
-            deep_cache = ResultStore(args.deep_cache, name="lint-deep")
-        baseline = (Baseline.load(args.baseline)
-                    if args.baseline and not args.write_baseline else None)
-        engine = LintEngine(registry, select=select, baseline=baseline,
-                            deep=args.deep, deep_cache=deep_cache)
+        engine = build_engine(
+            select, None if args.write_baseline else args.baseline,
+            args.diversity_threshold, args.deep, args.deep_cache)
 
         if args.write_baseline:
             if not args.baseline:
@@ -577,7 +562,6 @@ def _cmd_certify(args) -> int:
 
     from repro.lint.deep import Certificate, DeepAnalysis, module_name_for
     from repro.lint.deep.graph import import_closure
-    from repro.lint.registry import ModuleSource
 
     target = args.target
     module_part, _, func = target.partition(":")
@@ -594,16 +578,8 @@ def _cmd_certify(args) -> int:
                     f"cannot locate module {module_part!r} (give a file "
                     f"path or an importable dotted name)")
             path = spec.origin
-        modules = []
-        for source_path in sorted(import_closure(path)):
-            try:
-                with open(source_path, "r", encoding="utf-8") as handle:
-                    modules.append(ModuleSource.parse(source_path,
-                                                      handle.read()))
-            except (OSError, SyntaxError, ValueError):
-                continue
         analysis = DeepAnalysis()
-        analysis.summarize(modules)
+        analysis.summarize(import_closure(path))
         analysis.propagate()
         certificate = Certificate(analysis.certificate())
         if args.out:

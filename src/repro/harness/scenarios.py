@@ -241,9 +241,9 @@ def lint_scenario(requests: int, seed: int) -> Dict[str, Any]:
     import os
 
     import repro
-    from repro.lint import run_paths
+    from repro.lint import build_engine
 
-    report, _ = run_paths(
+    report = build_engine().run(
         [os.path.dirname(os.path.abspath(repro.__file__))])
     severities = report.counts_by_severity()
     return {"files": report.files,

@@ -44,9 +44,9 @@ from repro.lint.diversity import (
 from repro.lint.engine import (
     LintEngine,
     LintReport,
+    build_engine,
     discover_files,
     discover_sources,
-    run_paths,
 )
 from repro.lint.findings import (
     ERROR,
@@ -80,6 +80,7 @@ __all__ = [
     "WARNING",
     "ast_fingerprint",
     "at_least",
+    "build_engine",
     "default_rules",
     "discover_files",
     "discover_sources",
@@ -89,7 +90,6 @@ __all__ = [
     "render_github",
     "render_json",
     "render_text",
-    "run_paths",
     "severity_rank",
     "shingles",
     "similarity",

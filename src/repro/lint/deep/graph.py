@@ -12,12 +12,12 @@ the directory a runtime would need on ``sys.path`` — which
 
 from __future__ import annotations
 
-import ast
 import os
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-__all__ = ["import_closure", "import_graph", "imported_modules",
-           "module_name_for"]
+from repro.lint.registry import ModuleSource
+
+__all__ = ["import_closure", "import_graph", "module_name_for"]
 
 
 def module_name_for(path: str) -> Tuple[str, str]:
@@ -38,40 +38,6 @@ def module_name_for(path: str) -> Tuple[str, str]:
             break
         parts.insert(0, package)
     return ".".join(parts) or stem, directory
-
-
-def imported_modules(tree: ast.Module, package: str) -> List[str]:
-    """Dotted module names imported anywhere in ``tree``, sorted.
-
-    Relative imports are resolved against ``package`` (the module's own
-    package, i.e. its dotted name minus the last component).  ``from
-    mod import name`` contributes ``mod`` — whether ``name`` is a
-    submodule or an attribute is settled later against the analyzed
-    set.
-    """
-    found: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                found.add(alias.name)
-        elif isinstance(node, ast.ImportFrom):
-            base = _resolve_relative(node, package)
-            if base:
-                found.add(base)
-    return sorted(found)
-
-
-def _resolve_relative(node: ast.ImportFrom, package: str) -> str:
-    """The absolute dotted module an ``ImportFrom`` targets."""
-    if node.level == 0:
-        return node.module or ""
-    parts = package.split(".") if package else []
-    # level=1 is the current package; each extra level climbs one.
-    climb = node.level - 1
-    base = parts[:len(parts) - climb] if climb <= len(parts) else []
-    if node.module:
-        base = base + node.module.split(".")
-    return ".".join(base)
 
 
 def import_graph(modules: Dict[str, Sequence[str]]) -> Dict[str, List[str]]:
@@ -100,34 +66,41 @@ def import_graph(modules: Dict[str, Sequence[str]]) -> Dict[str, List[str]]:
     return graph
 
 
-def import_closure(path: str, limit: int = 512) -> List[str]:
+def import_closure(path: str, limit: int = 512) -> List[ModuleSource]:
     """Project-internal transitive import closure of one source file.
 
     Starting from ``path``, resolve every import against the file's
     import root and follow the ones that exist on disk, breadth-first
     and alphabetically, up to ``limit`` files.  This is how ``repro
     certify`` scopes its analysis: the target module plus everything it
-    can reach, nothing else.
+    can reach, nothing else.  Returns the parsed modules sorted by path
+    (files that do not read or parse are left out); each one's imports
+    come from its memoised scan, which the analysis then reuses.
     """
     first = os.path.abspath(path)
     _, root = module_name_for(first)
-    seen: Dict[str, None] = {first: None}
+    parsed: Dict[str, Optional[ModuleSource]] = {first: _parse(first)}
     queue = [first]
-    while queue and len(seen) < limit:
-        current = queue.pop(0)
-        name, _ = module_name_for(current)
-        package = name.rpartition(".")[0]
-        try:
-            with open(current, "r", encoding="utf-8") as handle:
-                tree = ast.parse(handle.read(), filename=current)
-        except (OSError, SyntaxError, ValueError):
+    while queue and len(parsed) < limit:
+        module = parsed[queue.pop(0)]
+        if module is None:
             continue
-        for target in imported_modules(tree, package):
+        for target in sorted(module.scan.imported):
             for candidate in _candidate_files(root, target):
-                if candidate not in seen and os.path.isfile(candidate):
-                    seen[candidate] = None
+                if candidate not in parsed and os.path.isfile(candidate):
+                    parsed[candidate] = _parse(candidate)
                     queue.append(candidate)
-    return list(seen)
+    return sorted((module for module in parsed.values()
+                   if module is not None),
+                  key=lambda module: module.path)
+
+
+def _parse(path: str) -> Optional[ModuleSource]:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return ModuleSource.parse(path, handle.read())
+    except (OSError, SyntaxError, ValueError):
+        return None
 
 
 def _candidate_files(root: str, dotted: str) -> List[str]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.lint.deep.graph import import_graph, module_name_for
+from repro.lint.deep.graph import import_graph
 from repro.lint.deep.summaries import (
     SUMMARY_VERSION,
     FunctionSummary,
@@ -82,38 +82,36 @@ class DeepAnalysis:
     # -- phase 1: summaries ------------------------------------------------
 
     def summarize(self, modules: Sequence[ModuleSource]) -> None:
-        units = [(module, module_name_for(module.path)[0])
-                 for module in modules]
-        for (module, name), summary in zip(units, self._summaries(units)):
-            self.summaries[name] = summary
+        for summary in self._summaries(modules):
+            self.summaries[summary.module] = summary
             for qual, fn in summary.functions.items():
-                self.functions[f"{name}:{qual}"] = fn
+                self.functions[f"{summary.module}:{qual}"] = fn
 
-    def _summaries(self, units: List[Tuple[ModuleSource, str]]
+    def _summaries(self, modules: Sequence[ModuleSource]
                    ) -> List[ModuleSummary]:
-        """Summaries in unit order; a cache serves its hits with one
+        """Summaries in module order; a cache serves its hits with one
         ``get_many`` and stores the misses with one ``put_many``."""
         if self.cache is None:
-            return [summarize_module(module, name) for module, name in units]
+            return [summarize_module(module) for module in modules]
         from repro.runtime.store import cached_map
 
         task = "repro.lint.deep.summary"
         fresh: Dict[str, ModuleSummary] = {}
 
-        def run(misses: Sequence[Tuple[ModuleSource, str]]) -> List[dict]:
+        def run(misses: Sequence[ModuleSource]) -> List[dict]:
             self.cache_misses += len(misses)
-            fresh.update((name, summarize_module(module, name))
-                         for module, name in misses)
-            return [fresh[name].as_dict() for _, name in misses]
+            fresh.update((module.name, summarize_module(module))
+                         for module in misses)
+            return [fresh[module.name].as_dict() for module in misses]
 
         payloads = cached_map(
-            self.cache, units,
-            lambda unit: self.cache.key(task, (unit[1], unit[0].source),
-                                        code=SUMMARY_VERSION),
-            run, lambda unit: {"task": task})
+            self.cache, modules,
+            lambda module: self.cache.key(task, (module.name, module.source),
+                                          code=SUMMARY_VERSION),
+            run, lambda module: {"task": task})
         summaries = []
-        for (module, name), payload in zip(units, payloads):
-            summary = fresh.get(name)
+        for module, payload in zip(modules, payloads):
+            summary = fresh.get(module.name)
             if summary is None:
                 self.cache_hits += 1
                 summary = ModuleSummary.from_dict(payload)

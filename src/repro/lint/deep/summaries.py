@@ -1,7 +1,9 @@
 """Per-module intraprocedural summaries for the deep pass.
 
-One pass over a parsed module extracts, for every function (methods and
-nested defs included, each under its qualified name):
+:class:`ModuleScan` — the one memoised pass over a parsed module that
+the local DET and PAT rules also read — records every call and
+iteration site; from it the summary extracts, for every function
+(methods and nested defs included, each under its qualified name):
 
 * **determinism hazards** — canonical calls that read a clock
   (``time.time`` and friends, ``datetime.now``), draw OS entropy
@@ -32,17 +34,17 @@ ResultStore` can content-address them (key: module name + source text +
 from __future__ import annotations
 
 import ast
+import collections
 import dataclasses
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.lint.deep.certificate import function_fingerprint
-from repro.lint.deep.graph import imported_modules, module_name_for
-from repro.lint.registry import ModuleSource
+from repro.lint.registry import ModuleSource, dotted_name, has_arguments
 from repro.lint.rules_determinism import UNSEEDED_RANDOM_FNS
 from repro.lint.rules_process_safety import POOL_API, POOL_MODULE
 
-__all__ = ["SUMMARY_VERSION", "FunctionSummary", "Hazard",
-           "ModuleSummary", "summarize_module"]
+__all__ = ["SUMMARY_VERSION", "FunctionSummary", "Hazard", "ModuleScan",
+           "ModuleSummary", "Site", "summarize_module"]
 
 #: Version tag baked into every summary cache key: bump it whenever the
 #: extraction below changes, and every cached summary invalidates.
@@ -195,82 +197,46 @@ class ModuleSummary:
         )
 
 
-# -- alias resolution ------------------------------------------------------
-
-
-class _Aliases:
-    """Import bindings of one module, for canonical name resolution."""
-
-    def __init__(self, tree: ast.Module, package: str) -> None:
-        #: ``bound name -> dotted module`` from ``import a.b [as c]``.
-        self.modules: Dict[str, str] = {}
-        #: ``bound name -> module.attr`` from ``from m import a [as b]``.
-        self.members: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        self.modules[alias.asname] = alias.name
-                    else:
-                        head = alias.name.split(".")[0]
-                        self.modules[head] = head
-            elif isinstance(node, ast.ImportFrom):
-                base = node.module or ""
-                if node.level:
-                    parts = package.split(".") if package else []
-                    climb = node.level - 1
-                    kept = parts[:len(parts) - climb] if climb <= len(parts) \
-                        else []
-                    base = ".".join(kept + (node.module.split(".")
-                                            if node.module else []))
-                for alias in node.names:
-                    if base:
-                        self.members[alias.asname or alias.name] = \
-                            f"{base}.{alias.name}"
-
-    def canonical(self, func: ast.AST) -> Optional[str]:
-        """The canonical dotted name of a call target, or ``None``.
-
-        ``_wall()`` after ``from time import time as _wall`` resolves
-        to ``time.time``; ``t.time()`` after ``import time as t`` to
-        ``time.time``; a plain local name stays itself.
-        """
-        parts: List[str] = []
-        node = func
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
-            return None
-        parts.append(node.id)
-        parts.reverse()
-        head = parts[0]
-        if head in self.members:
-            parts[0:1] = self.members[head].split(".")
-        elif head in self.modules:
-            parts[0:1] = self.modules[head].split(".")
-        return ".".join(parts)
-
-
-# -- extraction ------------------------------------------------------------
+# -- the scan --------------------------------------------------------------
 
 
 _SCOPE_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
+_LOOPS = (ast.For, ast.AsyncFor)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
+                   ast.GeneratorExp)
+#: Nodes a function summary reads, besides the sites they carry.
+_SUMMARY_NODES = (ast.Call, ast.Lambda, *_LOOPS, *_COMPREHENSIONS,
+                  ast.Import, ast.ImportFrom, ast.Global, ast.Assign,
+                  ast.AnnAssign, ast.AugAssign)
 
 
-def _own_nodes(fn: ast.AST) -> List[ast.AST]:
-    """``fn``'s body nodes without descending into nested defs/classes
-    (they are separate functions with their own summaries)."""
-    out: List[ast.AST] = []
-    stack = list(ast.iter_child_nodes(fn))
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if isinstance(node, (*_SCOPE_NODES, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return sorted(out, key=lambda n: (getattr(n, "lineno", 0),
-                                      getattr(n, "col_offset", 0)))
+@dataclasses.dataclass
+class Site:
+    """One call or iteration site, as the scan records it."""
+
+    #: The ``ast.Call``, or the iterated expression; its line and column
+    #: anchor any finding.
+    node: ast.expr
+    #: Dotted name as written — the call target, or the iterated
+    #: expression — or ``None`` when it is no Name/Attribute chain.
+    raw: Optional[str]
+    #: Name of the innermost enclosing function named like a trial.
+    trial: Optional[str]
+    #: ``raw`` with import aliases resolved.
+    canonical: Optional[str] = None
+
+
+def _resolve_relative(node: ast.ImportFrom, package: str) -> str:
+    """The absolute dotted module an ``ImportFrom`` targets."""
+    if node.level == 0:
+        return node.module or ""
+    parts = package.split(".") if package else []
+    # level=1 is the current package; each extra level climbs one.
+    climb = node.level - 1
+    base = parts[:len(parts) - climb] if climb <= len(parts) else []
+    if node.module:
+        base = base + node.module.split(".")
+    return ".".join(base)
 
 
 def _module_globals(tree: ast.Module) -> set:
@@ -291,8 +257,10 @@ def _module_globals(tree: ast.Module) -> set:
     return names
 
 
-def _local_bindings(fn: ast.AST) -> set:
-    """Parameter and locally assigned names (they shadow globals)."""
+def _local_bindings(fn: ast.AST,
+                    own: Sequence[ast.AST]) -> Tuple[set, set]:
+    """Parameter and locally assigned names (they shadow globals), and
+    the names the function declares ``global``."""
     bound = set()
     args = fn.args
     for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
@@ -302,7 +270,7 @@ def _local_bindings(fn: ast.AST) -> set:
     if args.kwarg:
         bound.add(args.kwarg.arg)
     declared_global = set()
-    for node in _own_nodes(fn):
+    for node in own:
         if isinstance(node, ast.Global):
             declared_global.update(node.names)
         elif isinstance(node, ast.Assign):
@@ -312,42 +280,146 @@ def _local_bindings(fn: ast.AST) -> set:
         elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
             if isinstance(node.target, ast.Name):
                 bound.add(node.target.id)
-        elif isinstance(node, (ast.For, ast.AsyncFor)):
+        elif isinstance(node, _LOOPS):
             if isinstance(node.target, ast.Name):
                 bound.add(node.target.id)
-    return bound - declared_global
+    return bound - declared_global, declared_global
 
 
-def _seeded(call: ast.Call) -> bool:
-    return bool(call.args or call.keywords)
+class ModuleScan:
+    """The one scan of a parsed module.
 
+    A single breadth-first pass over the tree (``ast.walk`` order)
+    records every call and iteration :class:`Site`, the module's import
+    bindings, whether any call passes ``batch=``, and, per def or class
+    scope, the nodes a function summary reads.  The DET and PAT rules
+    filter :attr:`calls` and :attr:`iterations`; :meth:`summarize`
+    derives the deep :class:`ModuleSummary`.  :attr:`ModuleSource.scan
+    <repro.lint.registry.ModuleSource.scan>` memoises the scan, so a
+    lint run scans each module once, with or without ``--deep``.
+    """
 
-class _ModuleScanner:
-    """Extracts every function summary from one parsed module."""
-
-    def __init__(self, module: ModuleSource, module_name: str) -> None:
+    def __init__(self, module: ModuleSource) -> None:
         self.module = module
-        self.name = module_name
-        self.package = module_name.rpartition(".")[0]
-        self.aliases = _Aliases(module.tree, self.package)
-        self.globals = _module_globals(module.tree)
-        self.functions: Dict[str, FunctionSummary] = {}
+        #: Every call site, in walk order.
+        self.calls: List[Site] = []
+        #: Every iterated expression (loops and comprehensions).
+        self.iterations: List[Site] = []
+        #: Any call passes a ``batch=`` keyword: the module is on the
+        #: batched path.
+        self.batch = False
+        #: ``import`` / ``from ... import`` statements, in walk order.
+        self.imports: List[ast.stmt] = []
+        #: Node -> the sites it carries (a call; the iterable of a loop
+        #: or of each comprehension generator).
+        self._sites_at: Dict[ast.AST, List[Site]] = {}
+        #: Def/class node (``None`` at module level) -> the summary
+        #: nodes in its own body, nested defs and classes excluded.
+        self._own: Dict[Optional[ast.AST], List[ast.AST]] = {}
+        queue = collections.deque(
+            (child, None, None)
+            for child in ast.iter_child_nodes(module.tree))
+        while queue:
+            node, scope, trial = queue.popleft()
+            if isinstance(node, _SUMMARY_NODES):
+                self._own.setdefault(scope, []).append(node)
+            if isinstance(node, ast.Call):
+                self._record(node, self.calls, node, node.func, trial)
+                if not self.batch:
+                    self.batch = any(keyword.arg == "batch"
+                                     for keyword in node.keywords)
+            elif isinstance(node, _LOOPS):
+                self._record(node, self.iterations, node.iter, node.iter,
+                             trial)
+            elif isinstance(node, _COMPREHENSIONS):
+                for generator in node.generators:
+                    self._record(node, self.iterations, generator.iter,
+                                 generator.iter, trial)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                self.imports.append(node)
+            elif isinstance(node, (*_SCOPE_NODES, ast.ClassDef)):
+                scope = node
+                if (not isinstance(node, ast.ClassDef)
+                        and "trial" in node.name.lower()):
+                    trial = node.name
+            queue.extend((child, scope, trial)
+                         for child in ast.iter_child_nodes(node))
+        self._bind_imports()
+        for site in (*self.calls, *self.iterations):
+            site.canonical = self.canonical(site.raw)
+
+    def _bind_imports(self) -> None:
+        #: ``bound name -> dotted module`` from ``import a.b [as c]``.
+        self.modules: Dict[str, str] = {}
+        #: ``bound name -> module.attr`` from ``from m import a [as b]``.
+        self.members: Dict[str, str] = {}
+        #: Names ``import random [as name]`` binds the module to.
+        self.random_modules = set()
+        #: ``(local, name)`` per ``from random import name [as local]``.
+        self.random_imports: List[Tuple[str, str]] = []
+        #: Dotted modules imported anywhere (``from m import a`` names
+        #: ``m``), relative imports resolved.
+        self.imported = set()
+        package = self.module.name.rpartition(".")[0]
+        for node in self.imports:
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    self.imported.add(alias.name)
+                    head = alias.name.split(".")[0]
+                    self.modules[alias.asname or head] = \
+                        alias.name if alias.asname else head
+                    if alias.name == "random":
+                        self.random_modules.add(alias.asname or "random")
+                continue
+            base = _resolve_relative(node, package)
+            if base:
+                self.imported.add(base)
+            for alias in node.names:
+                local = alias.asname or alias.name
+                if base:
+                    self.members[local] = f"{base}.{alias.name}"
+                if node.module == "random":
+                    self.random_imports.append((local, alias.name))
+
+    def canonical(self, dotted: Optional[str]) -> Optional[str]:
+        """A dotted name as written, with import aliases resolved.
+
+        ``_wall`` after ``from time import time as _wall`` resolves to
+        ``time.time``; ``t.time`` after ``import time as t`` to
+        ``time.time``; a plain local name stays itself.
+        """
+        if dotted is None:
+            return None
+        head, dot, rest = dotted.partition(".")
+        bound = self.members.get(head) or self.modules.get(head)
+        return dotted if bound is None else bound + dot + rest
+
+    def _record(self, anchor: ast.AST, sites: List[Site], node: ast.expr,
+                named: ast.expr, trial: Optional[str]) -> None:
+        site = Site(node, dotted_name(named), trial)
+        sites.append(site)
+        self._sites_at.setdefault(anchor, []).append(site)
+
+    # -- the deep summary --------------------------------------------------
+
+    def summarize(self) -> ModuleSummary:
+        """Every function summary of the module, from this scan."""
+        tree = self.module.tree
+        self.globals = _module_globals(tree)
         #: top-level function/class names, for local call resolution.
-        self.top_level = {node.name for node in module.tree.body
+        self.top_level = {node.name for node in tree.body
                           if isinstance(node, (*_SCOPE_NODES,
                                                ast.ClassDef))}
-        self.task_names: set = set()
-
-    def scan(self) -> Dict[str, FunctionSummary]:
-        self._walk(self.module.tree.body, prefix="", class_name=None)
-        self._collect_task_refs()
-        for name in self.task_names:
+        self.functions: Dict[str, FunctionSummary] = {}
+        self._walk(tree.body, prefix="", class_name=None)
+        for name in self._task_names():
             summary = self.functions.get(name)
             if summary is not None:
                 summary.is_task = True
-        return self.functions
-
-    # -- function discovery ------------------------------------------------
+        return ModuleSummary(
+            path=self.module.path, module=self.module.name,
+            imports=sorted(self.imported),
+            functions=self.functions)
 
     def _walk(self, body: Sequence[ast.stmt], prefix: str,
               class_name: Optional[str]) -> None:
@@ -372,33 +444,37 @@ class _ModuleScanner:
             qualname=qual, line=fn.lineno, col=fn.col_offset,
             is_trial="trial" in fn.name.lower(),
             code=function_fingerprint(segment))
-        locals_ = _local_bindings(fn)
-        own = _own_nodes(fn)
+        own = sorted(self._own.get(fn, ()),
+                     key=lambda node: (node.lineno, node.col_offset))
+        locals_, declared = _local_bindings(fn, own)
         for node in own:
-            if isinstance(node, ast.Call):
-                self._scan_call(node, summary, class_name, locals_)
-            elif isinstance(node, ast.Lambda):
+            for site in self._sites_at.get(node, ()):
+                if isinstance(node, ast.Call):
+                    self._scan_call(site, summary, class_name, locals_)
+                else:
+                    self._scan_iteration(site, summary)
+            if isinstance(node, ast.Lambda):
                 summary.pickle_hazards.append(Hazard(
                     kind="pickle",
                     detail="lambda capturing the enclosing frame",
                     line=node.lineno))
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                self._scan_iteration(node.iter, summary)
-            elif isinstance(node, (ast.ListComp, ast.SetComp,
-                                   ast.DictComp, ast.GeneratorExp)):
-                for generator in node.generators:
-                    self._scan_iteration(generator.iter, summary)
-            elif isinstance(node, (ast.Import, ast.ImportFrom)):
-                self._scan_import(node, summary)
-        self._scan_global_writes(fn, own, summary, locals_)
+            elif (isinstance(node, ast.ImportFrom)
+                    and node.module == POOL_MODULE):
+                summary.pickle_hazards.append(Hazard(
+                    "pickle", f"from {POOL_MODULE} import ...", node.lineno))
+            elif isinstance(node, ast.Import):
+                summary.pickle_hazards.extend(
+                    Hazard("pickle", f"import {POOL_MODULE}", node.lineno)
+                    for alias in node.names if alias.name == POOL_MODULE)
+        self._scan_global_writes(own, summary, locals_, declared)
         return summary
 
     # -- hazard scanners ---------------------------------------------------
 
-    def _scan_call(self, call: ast.Call, summary: FunctionSummary,
+    def _scan_call(self, site: Site, summary: FunctionSummary,
                    class_name: Optional[str], locals_: set) -> None:
-        canonical = self.aliases.canonical(call.func)
-        line = call.lineno
+        canonical = site.canonical
+        line = site.node.lineno
         if canonical is not None and not self._shadowed(canonical,
                                                         locals_):
             if canonical in CLOCK_CALLS:
@@ -415,7 +491,7 @@ class _ModuleScanner:
                     and canonical[len("random."):] in UNSEEDED_RANDOM_FNS):
                 summary.hazards.append(Hazard(
                     "rng", f"global-RNG draw {canonical}()", line))
-            elif canonical == "random.Random" and not _seeded(call):
+            elif canonical == "random.Random" and not has_arguments(site.node):
                 summary.hazards.append(Hazard(
                     "rng", "seedless random.Random()", line))
             elif canonical in UNPICKLABLE_CTORS:
@@ -431,17 +507,17 @@ class _ModuleScanner:
                          or canonical.startswith("pool."))):
                 summary.pickle_hazards.append(Hazard(
                     "pickle", f"warm-pool API call {tail}()", line))
-        self._record_call_edge(call, summary, class_name, locals_)
+        self._record_call_edge(site, summary, class_name, locals_)
 
     def _shadowed(self, canonical: str, locals_: set) -> bool:
         """A canonical match is void when its head is a local binding
         (a parameter named ``time`` shadows the module)."""
         head = canonical.split(".")[0]
-        return head in locals_ and head not in self.aliases.members \
-            and head not in self.aliases.modules
+        return head in locals_ and not self._aliased(head)
 
-    def _scan_iteration(self, target: ast.expr,
+    def _scan_iteration(self, site: Site,
                         summary: FunctionSummary) -> None:
+        target = site.node
         if isinstance(target, (ast.Set, ast.SetComp)):
             summary.hazards.append(Hazard(
                 "order", "iteration over a set (hash order)",
@@ -452,32 +528,13 @@ class _ModuleScanner:
             summary.hazards.append(Hazard(
                 "order", f"iteration over {target.func.id}() "
                          f"(hash order)", target.lineno))
-        else:
-            canonical = self.aliases.canonical(target)
-            if canonical == "os.environ":
-                summary.hazards.append(Hazard(
-                    "env", "iteration over os.environ", target.lineno))
+        elif site.canonical == "os.environ":
+            summary.hazards.append(Hazard(
+                "env", "iteration over os.environ", target.lineno))
 
-    def _scan_import(self, node: ast.AST,
-                     summary: FunctionSummary) -> None:
-        if isinstance(node, ast.ImportFrom):
-            if node.module == POOL_MODULE:
-                summary.pickle_hazards.append(Hazard(
-                    "pickle", f"from {POOL_MODULE} import ...",
-                    node.lineno))
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == POOL_MODULE:
-                    summary.pickle_hazards.append(Hazard(
-                        "pickle", f"import {POOL_MODULE}", node.lineno))
-
-    def _scan_global_writes(self, fn: ast.AST, own: Sequence[ast.AST],
-                            summary: FunctionSummary,
-                            locals_: set) -> None:
-        declared = set()
-        for node in own:
-            if isinstance(node, ast.Global):
-                declared.update(node.names)
+    def _scan_global_writes(self, own: Sequence[ast.AST],
+                            summary: FunctionSummary, locals_: set,
+                            declared: set) -> None:
         mutable = (self.globals - locals_) | declared
         if not mutable:
             return
@@ -519,19 +576,19 @@ class _ModuleScanner:
 
     # -- call edges --------------------------------------------------------
 
-    def _record_call_edge(self, call: ast.Call, summary: FunctionSummary,
+    def _record_call_edge(self, site: Site, summary: FunctionSummary,
                           class_name: Optional[str],
                           locals_: set) -> None:
-        func = call.func
-        line = call.lineno
+        func = site.node.func
+        line = site.node.lineno
         if isinstance(func, ast.Name):
             name = func.id
             if name in locals_:
                 return
             if name in self.top_level:
                 summary.calls.append(("local", name, line))
-            elif name in self.aliases.members:
-                summary.calls.append(("ext", self.aliases.members[name],
+            elif name in self.members:
+                summary.calls.append(("ext", self.members[name],
                                       line))
         elif isinstance(func, ast.Attribute):
             owner = func.value
@@ -540,7 +597,7 @@ class _ModuleScanner:
                 summary.calls.append(("local",
                                       f"{class_name}.{func.attr}", line))
                 return
-            canonical = self.aliases.canonical(func)
+            canonical = site.canonical
             if canonical is None:
                 return
             head = canonical.split(".")[0]
@@ -554,40 +611,33 @@ class _ModuleScanner:
                 summary.calls.append(("local", canonical, line))
 
     def _aliased(self, head: str) -> bool:
-        return head in self.aliases.modules or head in self.aliases.members
+        return head in self.modules or head in self.members
 
     # -- task references ---------------------------------------------------
 
-    def _collect_task_refs(self) -> None:
+    def _task_names(self) -> set:
         """Names referenced as task callables anywhere in the module."""
-        for node in ast.walk(self.module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            for keyword in node.keywords:
+        names = set()
+        for site in self.calls:
+            call = site.node
+            for keyword in call.keywords:
                 if (keyword.arg in ("trial", "fn", "task")
                         and isinstance(keyword.value, ast.Name)):
-                    self.task_names.add(keyword.value.id)
-            func = node.func
-            canonical = self.aliases.canonical(func)
-            is_map = isinstance(func, ast.Attribute) and func.attr == "map"
+                    names.add(keyword.value.id)
+            canonical = site.canonical
+            is_map = (isinstance(call.func, ast.Attribute)
+                      and call.func.attr == "map")
             is_runner = canonical in _TASK_CALLABLES or (
                 canonical is not None
                 and canonical.rpartition(".")[2] in ("run_trials",
                                                      "parallel_map"))
-            if (is_map or is_runner) and node.args \
-                    and isinstance(node.args[0], ast.Name):
-                self.task_names.add(node.args[0].id)
+            if (is_map or is_runner) and call.args \
+                    and isinstance(call.args[0], ast.Name):
+                names.add(call.args[0].id)
+        return names
 
 
-def summarize_module(module: ModuleSource,
-                     module_name: Optional[str] = None) -> ModuleSummary:
-    """Extract the :class:`ModuleSummary` of one parsed module."""
-    if module_name is None:
-        module_name, _ = module_name_for(module.path)
-    scanner = _ModuleScanner(module, module_name)
-    functions = scanner.scan()
-    package = module_name.rpartition(".")[0]
-    return ModuleSummary(
-        path=module.path, module=module_name,
-        imports=imported_modules(module.tree, package),
-        functions=functions)
+def summarize_module(module: ModuleSource) -> ModuleSummary:
+    """The :class:`ModuleSummary` of one parsed module, derived from its
+    memoised :attr:`~repro.lint.registry.ModuleSource.scan`."""
+    return module.scan.summarize()

@@ -180,13 +180,8 @@ class LintEngine:
 
     def _raw_findings(self, module: ModuleSource
                       ) -> List[Tuple[Finding, str]]:
-        pairs: List[Tuple[Finding, str]] = []
-        for rule in self.rules:
-            for finding in rule.check(module):
-                index = finding.line - 1
-                line_text = (module.lines[index]
-                             if 0 <= index < len(module.lines) else "")
-                pairs.append((finding, line_text))
+        pairs = [(finding, module.line(finding.line))
+                 for rule in self.rules for finding in rule.check(module)]
         pairs.sort(key=lambda pair: pair[0].sort_key())
         return pairs
 
@@ -247,15 +242,10 @@ class LintEngine:
 
         analysis = DeepAnalysis(cache=self.deep_cache)
         allowed = {rule.id for rule in self.rules}
-        lines_by_path = {module.path: module.lines for module in modules}
-        pairs: List[Tuple[Finding, str]] = []
-        for finding in analysis.run(modules):
-            if finding.rule not in allowed:
-                continue
-            lines = lines_by_path.get(finding.path, [])
-            index = finding.line - 1
-            line_text = lines[index] if 0 <= index < len(lines) else ""
-            pairs.append((finding, line_text))
+        by_path = {module.path: module for module in modules}
+        pairs = [(finding, by_path[finding.path].line(finding.line))
+                 for finding in analysis.run(modules)
+                 if finding.rule in allowed]
         self.analysis = analysis
         return pairs
 
@@ -306,34 +296,29 @@ class LintEngine:
                                 + report.baseline_suppressed))
 
 
-def run_paths(paths: Sequence[str],
-              select: Optional[Sequence[str]] = None,
-              baseline_path: Optional[str] = None,
-              diversity_threshold: Optional[float] = None,
-              deep: bool = False,
-              deep_cache_path: Optional[str] = None
-              ) -> Tuple[LintReport, LintEngine]:
-    """One-shot convenience wrapper used by the CLI and the scenario.
-
-    Returns the report *and* the engine, so callers needing the deep
-    analysis (certificate export) can reach ``engine.analysis``.
-    """
+def build_engine(select: Optional[Sequence[str]] = None,
+                 baseline_path: Optional[str] = None,
+                 diversity_threshold: Optional[float] = None,
+                 deep: bool = False,
+                 deep_cache_path: Optional[str] = None) -> LintEngine:
+    """The engine ``repro lint``'s flags describe, shared by the CLI and
+    the lint scenario: default rules, an optional DIV001 threshold,
+    baseline file and deep summary cache."""
     registry = default_rules()
     if diversity_threshold is not None:
         from repro.lint.rules_diversity import NearCloneRule
 
         if not 0.0 < diversity_threshold <= 1.0:
-            raise ValueError("diversity threshold must lie in (0, 1]")
+            raise ValueError("--diversity-threshold must lie in (0, 1]")
         rule = registry.rules(["DIV001"])[0]
         assert isinstance(rule, NearCloneRule)
         rule.threshold = diversity_threshold
     baseline = (Baseline.load(baseline_path)
                 if baseline_path is not None else None)
     deep_cache = None
-    if deep and deep_cache_path is not None:
+    if deep and deep_cache_path:
         from repro.runtime.store import ResultStore
 
         deep_cache = ResultStore(deep_cache_path, name="lint-deep")
-    engine = LintEngine(registry, select=select, baseline=baseline,
-                        deep=deep, deep_cache=deep_cache)
-    return engine.run(paths), engine
+    return LintEngine(registry, select=select, baseline=baseline,
+                      deep=deep, deep_cache=deep_cache)

@@ -11,9 +11,16 @@ from __future__ import annotations
 import abc
 import ast
 import dataclasses
+import functools
+import re
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.lint.findings import Finding, severity_rank
+
+#: The line breaks ``ast`` counts.  ``str.splitlines`` also breaks on
+#: form feeds, vertical tabs, ``\x1c``-``\x1e``, ``\x85``, U+2028 and
+#: U+2029, which would shift every later line off its ``lineno``.
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 @dataclasses.dataclass
@@ -25,7 +32,8 @@ class ModuleSource:
             so findings and baselines are machine-independent).
         source: Raw text.
         tree: Parsed ``ast.Module``.
-        lines: ``source.splitlines()`` — shared so rules and the
+        lines: The source split into lines the way ``ast`` numbers
+            them, line breaks dropped — shared so rules and the
             suppression pass don't each re-split.
     """
 
@@ -36,9 +44,50 @@ class ModuleSource:
 
     @classmethod
     def parse(cls, path: str, source: str) -> "ModuleSource":
+        lines = _LINE_BREAK.split(source)
+        if not lines[-1]:
+            lines.pop()  # a final line break opens no line
         return cls(path=path, source=source,
-                   tree=ast.parse(source, filename=path),
-                   lines=source.splitlines())
+                   tree=ast.parse(source, filename=path), lines=lines)
+
+    def line(self, lineno: int) -> str:
+        """The text of line ``lineno`` (1-based), ``""`` out of range."""
+        return self.lines[lineno - 1] if 0 < lineno <= len(self.lines) \
+            else ""
+
+    @functools.cached_property
+    def name(self) -> str:
+        """The dotted module name, inferred from the package layout."""
+        from repro.lint.deep.graph import module_name_for
+
+        return module_name_for(self.path)[0]
+
+    @functools.cached_property
+    def scan(self):
+        """The module's one memoised scan
+        (:class:`~repro.lint.deep.summaries.ModuleScan`), shared by the
+        DET and PAT rules and the deep summary."""
+        from repro.lint.deep.summaries import ModuleScan
+
+        return ModuleScan(self)
+
+    def segment(self, node: ast.AST) -> str:
+        """``ast.get_source_segment(self.source, node)``, byte for
+        byte, without re-splitting the whole source on every call."""
+        return self.source[self._index(node.lineno, node.col_offset):
+                           self._index(node.end_lineno, node.end_col_offset)]
+
+    def _index(self, lineno: int, offset: int) -> int:
+        """Source index of an ``ast`` position (UTF-8 byte column)."""
+        line = self.lines[lineno - 1]
+        if not line.isascii():
+            offset = len(line.encode("utf-8")[:offset].decode("utf-8"))
+        return self._line_starts[lineno - 1] + offset
+
+    @functools.cached_property
+    def _line_starts(self) -> List[int]:
+        return [0] + [match.end()
+                      for match in _LINE_BREAK.finditer(self.source)]
 
 
 class Rule(abc.ABC):
@@ -140,6 +189,11 @@ def dotted_name(node: ast.AST) -> Optional[str]:
         parts.append(node.id)
         return ".".join(reversed(parts))
     return None
+
+
+def has_arguments(call: ast.Call) -> bool:
+    """Whether a call passes any positional or keyword argument."""
+    return bool(call.args or call.keywords)
 
 
 def keyword_value(call: ast.Call, name: str) -> Optional[ast.expr]:

@@ -24,16 +24,21 @@ the whole class at review time:
   being byte-identical.  A warning normally; an **error** in modules
   that pass ``batch=`` anywhere (they are explicitly on the batched
   path).
+
+Every rule is a filter over the sites of the module's one memoised
+scan (:attr:`ModuleSource.scan <repro.lint.registry.ModuleSource.scan>`,
+shared with the deep summaries).  They match call targets as written,
+not alias-resolved: that is the deep pass's job.
 """
 
 from __future__ import annotations
 
 import ast
 import pathlib
-from typing import Dict, Iterable, Iterator, Set, Type
+from typing import Iterable, Iterator, Type
 
 from repro.lint.findings import Finding
-from repro.lint.registry import ModuleSource, Rule, dotted_name
+from repro.lint.registry import ModuleSource, Rule, has_arguments
 
 #: ``random`` module functions that drive the shared global RNG.
 UNSEEDED_RANDOM_FNS = frozenset((
@@ -53,26 +58,20 @@ WALL_CLOCK_CALLS = frozenset((
 ))
 
 
-def _random_aliases(tree: ast.Module) -> Set[str]:
-    """Names the ``random`` module is bound to in this file."""
-    aliases = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "random":
-                    aliases.add(alias.asname or "random")
-    return aliases
+_GLOBAL_RNG = ("draws from the shared, unseeded global RNG; construct "
+               "random.Random(seed) and thread it explicitly")
+_TRIAL_STREAM = ("repro.runtime.kernel.trial_stream(base_seed, index) so "
+                 "batch partitions stay byte-identical")
 
 
-def _from_random_imports(tree: ast.Module) -> Set[str]:
-    """Local names bound by ``from random import ...``."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "random":
-            for alias in node.names:
-                if alias.name in UNSEEDED_RANDOM_FNS:
-                    names.add(alias.asname or alias.name)
-    return names
+def _calls(module: ModuleSource):
+    """``(site, owner, attr)`` per call in the module's scan: the call
+    target as written, split at its last dot (``owner`` is ``""`` for a
+    bare name)."""
+    for site in module.scan.calls:
+        if site.raw is not None:
+            owner, _, attr = site.raw.rpartition(".")
+            yield site, owner, attr
 
 
 class UnseededRandomRule(Rule):
@@ -82,34 +81,21 @@ class UnseededRandomRule(Rule):
                "shared global RNG breaks seeded reproducibility")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        aliases = _random_aliases(module.tree)
-        from_imports = _from_random_imports(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
+        scan = module.scan
+        draws = {local for local, name in scan.random_imports
+                 if name in UNSEEDED_RANDOM_FNS}
+        for site, owner, attr in _calls(module):
+            if owner in scan.random_modules and attr in UNSEEDED_RANDOM_FNS:
+                message = f"{site.raw}() {_GLOBAL_RNG}"
+            elif (owner in scan.random_modules and attr == "Random"
+                    and not has_arguments(site.node)):
+                message = (f"{site.raw}() without a seed is OS-entropy "
+                           f"seeded; pass an explicit seed")
+            elif not owner and attr in draws:
+                message = f"{attr}() (from random import) {_GLOBAL_RNG}"
+            else:
                 continue
-            func = node.func
-            if (isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in aliases):
-                if func.attr in UNSEEDED_RANDOM_FNS:
-                    yield self.finding(
-                        module, node,
-                        f"{func.value.id}.{func.attr}() draws from the "
-                        f"shared, unseeded global RNG; construct "
-                        f"random.Random(seed) and thread it explicitly")
-                elif func.attr == "Random" and not node.args \
-                        and not node.keywords:
-                    yield self.finding(
-                        module, node,
-                        f"{func.value.id}.Random() without a seed is "
-                        f"OS-entropy seeded; pass an explicit seed")
-            elif (isinstance(func, ast.Name)
-                    and func.id in from_imports):
-                yield self.finding(
-                    module, node,
-                    f"{func.id}() (from random import) draws from the "
-                    f"shared, unseeded global RNG; construct "
-                    f"random.Random(seed) and thread it explicitly")
+            yield self.finding(module, site.node, message)
 
 
 class WallClockRule(Rule):
@@ -119,14 +105,11 @@ class WallClockRule(Rule):
                "depend on when the run happens, not on seeds")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            name = dotted_name(node.func)
-            if name in WALL_CLOCK_CALLS:
+        for site, _, _ in _calls(module):
+            if site.raw in WALL_CLOCK_CALLS:
                 yield self.finding(
-                    module, node,
-                    f"{name}() reads the wall clock; use the virtual "
+                    module, site.node,
+                    f"{site.raw}() reads the wall clock; use the virtual "
                     f"clock (environment.clock) for simulated time or "
                     f"time.perf_counter() for interval measurement")
 
@@ -139,26 +122,13 @@ class BuiltinHashRule(Rule):
                "across runs")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "hash"):
+        for site, _, _ in _calls(module):
+            if site.raw == "hash":
                 yield self.finding(
-                    module, node,
+                    module, site.node,
                     "builtin hash() varies with PYTHONHASHSEED for "
                     "str/bytes inputs; use repro._util.stable_int / "
                     "stable_fraction or zlib.crc32 for stable values")
-
-
-def _iter_targets(tree: ast.Module) -> Iterator[ast.expr]:
-    """Every expression whose iteration order the program observes."""
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            yield node.iter
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
-                               ast.GeneratorExp)):
-            for generator in node.generators:
-                yield generator.iter
 
 
 class EnvIterationRule(Rule):
@@ -168,7 +138,8 @@ class EnvIterationRule(Rule):
                "environment-dependent; wrap in sorted()")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for target in _iter_targets(module.tree):
+        for site in module.scan.iterations:
+            target = site.node
             if isinstance(target, (ast.Set, ast.SetComp)):
                 yield self.finding(
                     module, target,
@@ -182,7 +153,7 @@ class EnvIterationRule(Rule):
                     module, target,
                     f"iterating {target.func.id}(...): order varies with "
                     f"PYTHONHASHSEED; wrap in sorted()")
-            elif dotted_name(target) == "os.environ":
+            elif site.raw == "os.environ":
                 yield self.finding(
                     module, target,
                     "iterating os.environ: contents and order depend on "
@@ -210,40 +181,14 @@ class ObserveClockRule(Rule):
     def check(self, module: ModuleSource) -> Iterator[Finding]:
         if "observe" not in pathlib.PurePath(module.path).parts:
             return
-        calls = (node for node in ast.walk(module.tree)
-                 if isinstance(node, ast.Call))
-        for call in calls:
-            dotted = dotted_name(call.func) or ""
-            prefix, _, attr = dotted.rpartition(".")
-            if prefix != "time" or attr not in PROCESS_CLOCK_ATTRS:
-                continue
-            yield self.finding(
-                module, call,
-                f"{dotted}() inside repro.observe bypasses the injected "
-                f"clock; take timestamps from the telemetry session's "
-                f"bound clock so traces and dumps stay byte-stable")
-
-
-def _seed_imports(tree: ast.Module) -> Dict[str, str]:
-    """``local name -> original name`` bound by ``from random import
-    seed / Random``."""
-    names: Dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "random":
-            for alias in node.names:
-                if alias.name in ("seed", "Random"):
-                    names[alias.asname or alias.name] = alias.name
-    return names
-
-
-def _uses_batch_keyword(tree: ast.Module) -> bool:
-    """True when any call in the module passes a ``batch=`` keyword —
-    the module is explicitly on the batched path."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and any(
-                keyword.arg == "batch" for keyword in node.keywords):
-            return True
-    return False
+        for site, owner, attr in _calls(module):
+            if owner == "time" and attr in PROCESS_CLOCK_ATTRS:
+                yield self.finding(
+                    module, site.node,
+                    f"{site.raw}() inside repro.observe bypasses the "
+                    f"injected clock; take timestamps from the telemetry "
+                    f"session's bound clock so traces and dumps stay "
+                    f"byte-stable")
 
 
 class TrialReseedRule(Rule):
@@ -254,54 +199,31 @@ class TrialReseedRule(Rule):
                "identity; use repro.runtime.kernel.trial_stream")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        aliases = _random_aliases(module.tree)
-        from_imports = _seed_imports(module.tree)
-        severity = ("error" if _uses_batch_keyword(module.tree)
-                    else None)
-        for function in ast.walk(module.tree):
-            if not isinstance(function, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
+        scan = module.scan
+        seeders = {local: name for local, name in scan.random_imports
+                   if name in ("seed", "Random")}
+        severity = "error" if scan.batch else None
+        for site, owner, attr in _calls(module):
+            trial, seeded = site.trial, has_arguments(site.node)
+            if trial is None:
                 continue
-            if "trial" not in function.name.lower():
+            if owner in scan.random_modules and attr == "seed":
+                message = (f"{site.raw}() inside trial {trial!r} re-seeds "
+                           f"the global RNG; draw from {_TRIAL_STREAM}")
+            elif owner in scan.random_modules and attr == "Random" \
+                    and seeded:
+                message = (f"{owner}.Random(seed) inside trial {trial!r} "
+                           f"hand-rolls a seed derivation; use "
+                           f"{_TRIAL_STREAM}")
+            elif (not owner and attr in seeders
+                    and (seeders[attr] == "seed" or seeded)):
+                message = (f"{attr}() (from random import "
+                           f"{seeders[attr]}) inside trial {trial!r} "
+                           f"hand-rolls re-seeding; use {_TRIAL_STREAM}")
+            else:
                 continue
-            for node in ast.walk(function):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                seeded = bool(node.args or node.keywords)
-                if (isinstance(func, ast.Attribute)
-                        and isinstance(func.value, ast.Name)
-                        and func.value.id in aliases):
-                    if func.attr == "seed":
-                        yield self.finding(
-                            module, node,
-                            f"{func.value.id}.seed() inside trial "
-                            f"{function.name!r} re-seeds the global RNG; "
-                            f"draw from repro.runtime.kernel."
-                            f"trial_stream(base_seed, index) so batch "
-                            f"partitions stay byte-identical",
-                            severity=severity)
-                    elif func.attr == "Random" and seeded:
-                        yield self.finding(
-                            module, node,
-                            f"{func.value.id}.Random(seed) inside trial "
-                            f"{function.name!r} hand-rolls a seed "
-                            f"derivation; use repro.runtime.kernel."
-                            f"trial_stream(base_seed, index) so batch "
-                            f"partitions stay byte-identical",
-                            severity=severity)
-                elif (isinstance(func, ast.Name)
-                        and func.id in from_imports
-                        and (from_imports[func.id] == "seed" or seeded)):
-                    yield self.finding(
-                        module, node,
-                        f"{func.id}() (from random import "
-                        f"{from_imports[func.id]}) inside trial "
-                        f"{function.name!r} hand-rolls re-seeding; use "
-                        f"repro.runtime.kernel.trial_stream(base_seed, "
-                        f"index) so batch partitions stay "
-                        f"byte-identical",
-                        severity=severity)
+            yield self.finding(module, site.node, message,
+                               severity=severity)
 
 
 RULES: Iterable[Type[Rule]] = (UnseededRandomRule, WallClockRule,

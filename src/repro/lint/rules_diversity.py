@@ -35,22 +35,15 @@ def module_functions(module: ModuleSource) -> List[
         Tuple[str, ast.AST, str]]:
     """``(qualified_name, node, source_segment)`` for every top-level
     function and method in the module."""
-    out = []
-
-    def add(node: ast.AST, qualname: str) -> None:
-        segment = ast.get_source_segment(module.source, node)
-        if segment:
-            out.append((qualname, node, segment))
-
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    named = []
     for node in module.tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            add(node, node.name)
+        if isinstance(node, defs):
+            named.append((node.name, node))
         elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                    add(item, f"{node.name}.{item.name}")
-    return out
+            named.extend((f"{node.name}.{item.name}", item)
+                         for item in node.body if isinstance(item, defs))
+    return [(name, node, module.segment(node)) for name, node in named]
 
 
 def pairwise_similarity(sources: List[str]) -> List[List[float]]:

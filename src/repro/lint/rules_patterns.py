@@ -72,9 +72,8 @@ class EvenVoterRule(Rule):
                "deadlocks the majority voter")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for site in module.scan.calls:
+            node = site.node
             name = _call_name(node)
             if name not in VOTING_CONSTRUCTORS or not node.args:
                 continue
@@ -96,9 +95,8 @@ class MissingAdjudicatorRule(Rule):
                "the collected results")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for site in module.scan.calls:
+            node = site.node
             name = _call_name(node)
             keyword = ADJUDICATED_PATTERNS.get(name or "")
             if keyword is None:
@@ -120,9 +118,8 @@ class MissingRollbackRule(Rule):
                "side effects (no rollback)")
 
     def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
+        for site in module.scan.calls:
+            node = site.node
             if _call_name(node) not in SEQUENTIAL_PATTERNS:
                 continue
             has_subject = (keyword_value(node, "subject") is not None
